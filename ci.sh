@@ -24,6 +24,10 @@
 #                      (tolerance sized for a noisy 1-CPU box); prints a
 #                      per-point kcps delta table + geomean, not just
 #                      pass/fail
+#   ./ci.sh bench      ifbench smoke (benchmark/run.sh --smoke): 8
+#                      figure points from the self-contained Release
+#                      benchmark build, failing on any outcome-digest
+#                      mismatch against benchmark/expected_digests.json
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,26 +69,6 @@ run_asan() {
     # the on/off equivalence suite must pass under sanitizers.
     INVISIFENCE_FASTFWD=0 ctest --test-dir build-asan \
         --output-on-failure -R '(golden_figures_test|fastforward_test)'
-    # Way-predictor escape hatch: with MRU way prediction forced OFF the
-    # cache arrays take the plain tag scan, and the goldens must still
-    # be byte-identical (prediction is a host-side accelerator only).
-    INVISIFENCE_WAY_PREDICT=0 ctest --test-dir build-asan \
-        --output-on-failure -R '(golden_figures_test|fastforward_test)'
-    # Flat-directory escape hatch: forced back to the unordered_map the
-    # goldens (including the 64-core hashed-home scale golden) and the
-    # memory/coherence/scale unit suites must be unchanged (the flat
-    # table is a host-side layout swap only). scale_test rides along so
-    # the 64/256-core sharded-home paths run under sanitizers with the
-    # hatch off too.
-    INVISIFENCE_DIR_FLAT=0 ctest --test-dir build-asan \
-        --output-on-failure \
-        -R '(golden_figures_test|fastforward_test|mem_test|coh_test|scale_test)'
-    # MSHR-index escape hatch: forced off, lookups take the linear scan
-    # and waiter/local-fill merging is disabled — goldens and the same
-    # suites must be byte-identical either way.
-    INVISIFENCE_MSHR_INDEX=0 ctest --test-dir build-asan \
-        --output-on-failure \
-        -R '(golden_figures_test|fastforward_test|mem_test|coh_test|scale_test)'
 }
 
 run_faults() {
@@ -168,6 +152,11 @@ run_perfsmoke() {
         --skip-check-impl ASOsc
 }
 
+run_bench() {
+    echo "== ifbench smoke: figure-point outcome digests =="
+    bash benchmark/run.sh --smoke
+}
+
 run_format() {
     echo "== clang-format check =="
     if ! command -v clang-format >/dev/null 2>&1; then
@@ -192,9 +181,10 @@ case "$STAGE" in
   tidy)      run_tidy ;;
   format)    run_format ;;
   perfsmoke) run_perfsmoke ;;
+  bench)     run_bench ;;
   all)       run_format; run_tidy; run_lint; run_release; run_asan
-             run_faults; run_tsan; run_perfsmoke ;;
-  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|perfsmoke]" >&2
+             run_faults; run_tsan; run_perfsmoke; run_bench ;;
+  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|perfsmoke|bench]" >&2
      exit 2 ;;
 esac
 echo "ci.sh: $STAGE OK"

@@ -171,8 +171,7 @@ CacheAgent::request(Addr addr, bool write, FillWaiter cb)
             // events would be adjacent in the same-tick FIFO, so
             // appending to the batch is unobservable; see
             // localBatches_ in the header).
-            if (mshrs_.indexEnabled() &&
-                lastLocalSeqAfter_ == eq_.scheduledCount() &&
+            if (lastLocalSeqAfter_ == eq_.scheduledCount() &&
                 lastLocalBlock_ == block && lastLocalDue_ == due) {
                 hotPush(localBatches_[lastLocalSlot_].waiters, cb);
                 return true;

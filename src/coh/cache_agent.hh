@@ -337,7 +337,7 @@ class CacheAgent
      * same-tick FIFO, so running their waiters back-to-back inside one
      * event is unobservable. Slots are free-listed; waiter vectors
      * keep their capacity across reuse (steady state allocates
-     * nothing). Off with the MSHR-index escape hatch.
+     * nothing).
      */
     struct LocalFillBatch
     {

@@ -1,44 +1,16 @@
 #include "coh/directory.hh"
 
 #include "sim/annotations.hh"
-#include <cstdlib>
-
 #include "sim/log.hh"
 
 namespace invisifence {
-
-namespace {
-
-/** INVISIFENCE_DIR_FLAT=0 falls back to the legacy unordered_map
- *  directory store (escape hatch; behavior-identical). Parsed once per
- *  process; per-instance A/B runs use DirectoryParams::flatTable. */
-bool
-dirFlatEnabled()
-{
-    static const bool enabled = []() {
-        const char* text = std::getenv("INVISIFENCE_DIR_FLAT");
-        if (!text || text[0] == '\0')
-            return true;
-        if (text[0] == '0' && text[1] == '\0')
-            return false;
-        if (text[0] == '1' && text[1] == '\0')
-            return true;
-        IF_FATAL("INVISIFENCE_DIR_FLAT='%s' is not 0 or 1", text);
-    }();
-    return enabled;
-}
-
-} // namespace
 
 DirectorySlice::DirectorySlice(NodeId node, const HomeMap& home_map,
                                Network& net, EventQueue& eq,
                                FunctionalMemory& mem,
                                const DirectoryParams& params)
     : node_(node), homeMap_(home_map), net_(net), eq_(eq), mem_(mem),
-      params_(params),
-      useFlat_(params.flatTable < 0 ? dirFlatEnabled()
-                                    : params.flatTable != 0),
-      dirFlat_(params.flatCapacity)
+      params_(params), dir_(params.flatCapacity)
 {
     net_.attachDirectory(node_, this);
     if (params_.faultTolerant) {
@@ -76,70 +48,17 @@ DirectorySlice::recordCompleted(NodeId src, std::uint32_t txn_id)
 DirectorySlice::DirEntry&
 DirectorySlice::entry(Addr block)
 {
-    const Addr blk = blockAlign(block);
-    if (!useFlat_)
-        return legacyEntry(blk);
-#ifndef NDEBUG
-    // Fold the mutations made through the previous entry() reference
-    // into the oracle before taking a new one.
-    syncOracleFlush();
-#endif
-    bool created = false;
     // Directory state is only inserted, never erased, and callers hold
     // the returned reference only within one protocol step without
     // interleaving entry() inserts — so a grow here cannot invalidate a
     // reference anyone still uses.
-    DirEntry& e = dirFlat_.getOrCreate(blk, &created);
-#ifndef NDEBUG
-    if (created) {
-        dir_.emplace(blk, DirEntry{});
-    } else {
-        auto it = dir_.find(blk);
-        IF_DBG_ASSERT(it != dir_.end() && it->second == e &&
-               "flat directory diverged from the map oracle");
-        static_cast<void>(it);
-    }
-    lastEntryKey_ = blk;
-#endif
-    return e;
-}
-
-DirectorySlice::DirEntry&
-DirectorySlice::legacyEntry(Addr blk)
-{
-    IF_COLD_ALLOC("INVISIFENCE_DIR_FLAT=0 escape hatch: the legacy "
-                  "unordered_map directory allocates per distinct "
-                  "block; the production flat path does not run "
-                  "through here");
-    return dir_[blk];
+    return dir_.getOrCreate(blockAlign(block));
 }
 
 #ifndef NDEBUG
-void
-DirectorySlice::syncOracleFlush() const
-{
-    if (!useFlat_ || lastEntryKey_ == ~Addr{0})
-        return;
-    const DirEntry* cur = dirFlat_.find(lastEntryKey_);
-    IF_DBG_ASSERT(cur && "oracle-tracked block vanished from the flat table");
-    dir_[lastEntryKey_] = *cur;
-    lastEntryKey_ = ~Addr{0};
-}
-
 void
 DirectorySlice::verifyQuiescence() const
 {
-    if (useFlat_) {
-        syncOracleFlush();
-        IF_DBG_ASSERT(dirFlat_.size() == dir_.size() &&
-               "flat directory and map oracle disagree on entry count");
-        dirFlat_.forEach([this](Addr key, const DirEntry& value) {
-            auto it = dir_.find(key);
-            IF_DBG_ASSERT(it != dir_.end() && it->second == value &&
-                   "flat directory diverged from the map oracle");
-            static_cast<void>(it);
-        });
-    }
     // The quiescence counters are maintained incrementally by every
     // protocol step; recount them from scratch over the transient
     // per-block state before quiescent() trusts them.
@@ -191,27 +110,7 @@ DirectorySlice::maybeRecycleHome(Addr block)
 DirectorySlice::EntryView
 DirectorySlice::inspect(Addr block) const
 {
-    const Addr blk = blockAlign(block);
-    const DirEntry* e = nullptr;
-    if (useFlat_) {
-        e = dirFlat_.find(blk);
-#ifndef NDEBUG
-        if (blk != lastEntryKey_) {
-            // Skip the one key whose latest mutations are still only in
-            // the flat table (folded in at the next entry()/verify).
-            auto it = dir_.find(blk);
-            IF_DBG_ASSERT((e == nullptr) == (it == dir_.end()) &&
-                   "flat directory and map oracle disagree on presence");
-            IF_DBG_ASSERT((!e || *e == it->second) &&
-                   "flat directory diverged from the map oracle");
-            static_cast<void>(it);
-        }
-#endif
-    } else {
-        auto it = dir_.find(blk);
-        if (it != dir_.end())
-            e = &it->second;
-    }
+    const DirEntry* e = dir_.find(blockAlign(block));
     if (!e)
         return EntryView{};
     return EntryView{e->state, e->sharers, e->owner};

@@ -21,8 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <unordered_map>
-
 #include <string>
 #include <vector>
 
@@ -50,10 +48,6 @@ struct DirectoryParams
      *  per-block state table; sized so warm-started runs never grow it
      *  after warmup. Growth doubles and rehashes (warmup only). */
     std::uint32_t flatCapacity = 1u << 13;
-    /** Flat-table selector: -1 follows INVISIFENCE_DIR_FLAT (default
-     *  on), 0/1 force the legacy unordered_map / the flat table — the
-     *  per-instance override the A/B equivalence tests use. */
-    int flatTable = -1;
 
     /** @{ Fault tolerance (derived by the System; see AgentParams).
      *  When on, the slice deduplicates retried/duplicated requests by
@@ -87,8 +81,7 @@ class DirectorySlice
      * True when no transaction is active and no requests queue (tests).
      * The counters consulted here are maintained incrementally across
      * every protocol step; debug builds recount them from scratch over
-     * the transient-state map (and diff the flat table against its map
-     * oracle) before trusting them.
+     * the transient-state map before trusting them.
      */
     bool
     quiescent() const
@@ -146,8 +139,6 @@ class DirectorySlice
          * ownership, even though owner == src looks valid.
          */
         std::uint32_t grantTxn = 0;
-
-        bool operator==(const DirEntry&) const = default;
     };
 
     /** Active transaction on a block. */
@@ -178,19 +169,9 @@ class DirectorySlice
     };
 
     DirEntry& entry(Addr block);
-    /** Legacy-map path of entry() (escape-hatch allocation frontier). */
-    IF_COLD_FN DirEntry& legacyEntry(Addr blk);
 
 #ifndef NDEBUG
-    /**
-     * Flush the mutations made through the last entry() reference into
-     * the map oracle (callers mutate the returned ref after entry()
-     * returns, so the oracle can only catch up at the next sync point).
-     * No-op when the flat table is off (dir_ is then the real store).
-     */
-    void syncOracleFlush() const;
-    /** Full-table flat-vs-oracle comparison plus a from-scratch recount
-     *  of the quiescence counters over home_ (S3). */
+    /** From-scratch recount of the quiescence counters over home_. */
     void verifyQuiescence() const;
 #endif
 
@@ -233,24 +214,12 @@ class DirectorySlice
     FunctionalMemory& mem_;
     DirectoryParams params_;
 
-    bool useFlat_;
     /**
-     * Per-block directory state. With the flat table on, dirFlat_ is
-     * the store and dir_ (the legacy unordered_map) survives in debug
-     * builds only, as a shadow oracle cross-checked on every entry()
-     * and in verifyQuiescence(); with the flat table off, dir_ is the
-     * store and dirFlat_ stays empty. Directory state is never erased,
-     * so the flat table only inserts (growth doubles + rehashes, which
+     * Per-block directory state. Directory state is never erased, so
+     * the flat table only inserts (growth doubles + rehashes, which
      * warm-started runs absorb during warmup).
      */
-    FlatAddrMap<DirEntry> dirFlat_;
-#ifndef NDEBUG
-    mutable std::unordered_map<Addr, DirEntry> dir_;
-    /** Key of the last entry() reference not yet folded into dir_. */
-    mutable Addr lastEntryKey_ = ~Addr{0};
-#else
-    std::unordered_map<Addr, DirEntry> dir_;
-#endif
+    FlatAddrMap<DirEntry> dir_;
     RecyclingMap<Addr, BlockHome> home_;
     /** @{ Dedup record storage; empty unless faultTolerant. */
     RecyclingMap<Addr, std::uint8_t> dedup_;

@@ -8,8 +8,8 @@
  * an inline multi-word bitset sized for the largest machine the
  * simulator builds (256 nodes), with bounds-checked mutation, popcount
  * and ascending-order iteration helpers. It is trivially copyable and
- * value-initializes to empty, so it slots into FlatAddrMap lanes and
- * the debug map oracle exactly like the old integer did.
+ * value-initializes to empty, so it slots into FlatAddrMap lanes
+ * exactly like the old integer did.
  */
 
 #ifndef INVISIFENCE_COH_SHARER_SET_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 #include "sim/annotations.hh"
 #include "sim/log.hh"
@@ -17,30 +16,11 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** INVISIFENCE_WAY_PREDICT=0 disables the MRU way predictor (an escape
- *  hatch only — prediction never changes lookup results, because at
- *  most one way can hold a block). Parsed once per process. */
-bool
-wayPredictEnabled()
-{
-    static const bool enabled = []() {
-        const char* text = std::getenv("INVISIFENCE_WAY_PREDICT");
-        if (!text || text[0] == '\0')
-            return true;
-        if (text[0] == '0' && text[1] == '\0')
-            return false;
-        if (text[0] == '1' && text[1] == '\0')
-            return true;
-        IF_FATAL("INVISIFENCE_WAY_PREDICT='%s' is not 0 or 1", text);
-    }();
-    return enabled;
-}
-
 } // namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
                        std::string name)
-    : ways_(ways), wayPredict_(wayPredictEnabled()), name_(std::move(name))
+    : ways_(ways), name_(std::move(name))
 {
     if (ways == 0 || size_bytes % (static_cast<std::uint64_t>(ways) *
                                    kBlockBytes) != 0) {

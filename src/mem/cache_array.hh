@@ -10,8 +10,8 @@
  * cold *data lane* holds the 64-byte block payloads and is only touched
  * when a caller actually reads or writes block data. A per-set MRU way
  * predictor short-circuits the tag scan for the common
- * same-block-as-last-time case (INVISIFENCE_WAY_PREDICT=0 disables it;
- * results are identical either way since at most one way matches).
+ * same-block-as-last-time case (results are identical to a plain scan
+ * since at most one way matches).
  *
  * Callers address lines through the lightweight `Line` accessor (array +
  * frame index) and may pin one across simulated time as a generation-
@@ -329,7 +329,6 @@ class CacheArray
 
     std::uint32_t num_sets_;
     std::uint32_t ways_;
-    bool wayPredict_;
     std::string name_;
     std::vector<CacheTag> tags_;     //!< hot lane, set-major
     std::vector<BlockData> data_;    //!< cold lane, parallel to tags_
@@ -353,13 +352,11 @@ CacheArray::lookup(Addr addr)
     const CacheTag* tags = &tags_[base];
     // Invalid frames hold kInvalidTagAddr, which no aligned lookup key
     // can equal — so the probes below need no valid() test.
-    if (wayPredict_) {
-        // MRU way first: the repeated same-block accesses of a protocol
-        // step resolve on the first 16-byte tag probed.
-        const std::uint32_t p = mru_[set];
-        if (tags[p].blockAddr == blk)
-            return {this, base + p};
-    }
+    // MRU way first: the repeated same-block accesses of a protocol
+    // step resolve on the first 16-byte tag probed.
+    const std::uint32_t p = mru_[set];
+    if (tags[p].blockAddr == blk)
+        return {this, base + p};
     // Branch-free set scan: accumulate a per-way match bitmask (the
     // compiler can unroll/vectorize the compare loop), then pick the
     // matching way — at most one way holds a block — with countr_zero.

@@ -1,39 +1,12 @@
 #include "mem/mshr.hh"
 
 #include "sim/annotations.hh"
-#include <cstdlib>
-
 #include "sim/log.hh"
 
 namespace invisifence {
 
-namespace {
-
-/** INVISIFENCE_MSHR_INDEX=0 disables the O(1) lookup index and the
- *  waiter/fill dedup that relies on it (escape hatch; the legacy scan
- *  path is behavior-identical). Parsed once per process. */
-bool
-mshrIndexEnabled()
-{
-    static const bool enabled = []() {
-        const char* text = std::getenv("INVISIFENCE_MSHR_INDEX");
-        if (!text || text[0] == '\0')
-            return true;
-        if (text[0] == '0' && text[1] == '\0')
-            return false;
-        if (text[0] == '1' && text[1] == '\0')
-            return true;
-        IF_FATAL("INVISIFENCE_MSHR_INDEX='%s' is not 0 or 1", text);
-    }();
-    return enabled;
-}
-
-} // namespace
-
-MshrFile::MshrFile(std::uint32_t capacity, int use_index)
-    : capacity_(capacity),
-      useIndex_(use_index < 0 ? mshrIndexEnabled() : use_index != 0),
-      slots_(capacity), live_(capacity, 0),
+MshrFile::MshrFile(std::uint32_t capacity)
+    : capacity_(capacity), slots_(capacity), live_(capacity, 0),
       // 4x capacity keeps the index at <= 25% load, so probe chains are
       // one or two slots; it is sized once and never grows.
       index_(static_cast<std::size_t>(capacity) * 4)
@@ -54,24 +27,10 @@ MshrFile::MshrFile(std::uint32_t capacity, int use_index)
 }
 
 Mshr*
-MshrFile::lookupScan(Addr blk, const Mshr::Kind* k)
-{
-    for (std::uint32_t i = 0; i < capacity_; ++i) {
-        if (live_[i] && slots_[i].blockAddr == blk &&
-            (!k || slots_[i].kind == *k)) {
-            return &slots_[i];
-        }
-    }
-    return nullptr;
-}
-
-Mshr*
 MshrFile::lookup(Addr addr)
 {
     IF_HOT;
     const Addr blk = blockAlign(addr);
-    if (!useIndex_)
-        return lookupScan(blk, nullptr);
     Mshr* m = lookup(blk, Mshr::Kind::Fetch);
     if (!m)
         m = lookup(blk, Mshr::Kind::Writeback);
@@ -82,14 +41,8 @@ Mshr*
 MshrFile::lookup(Addr addr, Mshr::Kind k)
 {
     IF_HOT;
-    const Addr blk = blockAlign(addr);
-    if (!useIndex_)
-        return lookupScan(blk, &k);
-    const std::uint32_t* slot = index_.find(indexKey(blk, k));
-    Mshr* m = slot ? &slots_[*slot] : nullptr;
-    IF_DBG_ASSERT(m == lookupScan(blk, &k) &&
-           "MSHR index diverged from the linear scan");
-    return m;
+    const std::uint32_t* slot = index_.find(indexKey(blockAlign(addr), k));
+    return slot ? &slots_[*slot] : nullptr;
 }
 
 Mshr*
@@ -118,11 +71,9 @@ MshrFile::allocate(Addr addr, Mshr::Kind k)
     m.wbType = MsgType::PutS;
     m.txnId = 0;
     m.retryAttempt = 0;
-    if (useIndex_) {
-        bool created = false;
-        index_.getOrCreate(indexKey(m.blockAddr, k), &created) = slot;
-        IF_DBG_ASSERT(created && "duplicate MSHR for one (block, kind)");
-    }
+    bool created = false;
+    index_.getOrCreate(indexKey(m.blockAddr, k), &created) = slot;
+    IF_DBG_ASSERT(created && "duplicate MSHR for one (block, kind)");
     ++count_;
     ++statAllocations;
     return &m;
@@ -157,9 +108,8 @@ MshrFile::free(Mshr* m)
     IF_DBG_ASSERT(m->readWaiters.empty() && m->writeWaiters.empty() &&
            "freeing MSHR with live waiters (lost fill callbacks)");
     if (!m->readWaiters.empty() || !m->writeWaiters.empty()) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
+        if (!warnedLiveWaiters_) {
+            warnedLiveWaiters_ = true;
             IF_LOG("MshrFile::free dropping live waiters blk=%llx "
                    "(protocol bug; further drops not logged)",
                    static_cast<unsigned long long>(m->blockAddr));
@@ -167,11 +117,9 @@ MshrFile::free(Mshr* m)
         releaseChain(m->readWaiters);
         releaseChain(m->writeWaiters);
     }
-    if (useIndex_) {
-        const bool erased = index_.erase(indexKey(m->blockAddr, m->kind));
-        IF_DBG_ASSERT(erased && "freeing MSHR missing from the index");
-        static_cast<void>(erased);
-    }
+    const bool erased = index_.erase(indexKey(m->blockAddr, m->kind));
+    IF_DBG_ASSERT(erased && "freeing MSHR missing from the index");
+    static_cast<void>(erased);
     live_[slot] = 0;
     hotPush(freeSlots_, slot);
     --count_;
@@ -180,16 +128,14 @@ MshrFile::free(Mshr* m)
 void
 MshrFile::pushWaiter(WaiterChain& chain, const FillWaiter& cb)
 {
-    if (useIndex_) {
-        // Merge-time dedup: a record equal to one already chained would
-        // repeat the same wake action at the same fill; drop it. Chains
-        // are short (typically one record per wake kind after dedup).
-        for (std::uint32_t i = chain.head; i != kNoWaiter;
-             i = waiterPool_[i].next) {
-            if (waiterPool_[i].cb == cb) {
-                ++statWaiterDedups;
-                return;
-            }
+    // Merge-time dedup: a record equal to one already chained would
+    // repeat the same wake action at the same fill; drop it. Chains are
+    // short (typically one record per wake kind after dedup).
+    for (std::uint32_t i = chain.head; i != kNoWaiter;
+         i = waiterPool_[i].next) {
+        if (waiterPool_[i].cb == cb) {
+            ++statWaiterDedups;
+            return;
         }
     }
     std::uint32_t idx;

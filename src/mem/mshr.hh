@@ -12,10 +12,8 @@
  * side, so lookup() — on the path of every fill, forward, and issued
  * load — is O(1) instead of a linear scan over the active list. A fetch
  * and a writeback MSHR may coexist for one block, so the index key tags
- * the kind into the block address's low alignment bits.
- * INVISIFENCE_MSHR_INDEX=0 falls back to the legacy linear scan (and
- * disables waiter/fill dedup); debug builds cross-check every indexed
- * lookup against the scan.
+ * the kind into the block address's low alignment bits. The index is
+ * checked against a scan over forEachLive() by tests/mem_test.cc.
  *
  * Waiter callbacks are typed {function, owner, argument} records
  * (FillWaiter, 24 bytes — down from the 40-byte InplaceFn closures),
@@ -111,13 +109,8 @@ struct Mshr
 class MshrFile
 {
   public:
-    /**
-     * @param capacity total slots (fetch + writeback)
-     * @param use_index -1 follows INVISIFENCE_MSHR_INDEX (default on),
-     *        0/1 force the flat index (and waiter dedup) off/on — the
-     *        per-instance override the A/B equivalence tests use.
-     */
-    explicit MshrFile(std::uint32_t capacity, int use_index = -1);
+    /** @param capacity total slots (fetch + writeback) */
+    explicit MshrFile(std::uint32_t capacity);
 
     /** MSHR of any kind for @p addr's block, or nullptr. */
     Mshr* lookup(Addr addr);
@@ -132,8 +125,8 @@ class MshrFile
      * Release @p m (must belong to this file). Freeing an MSHR whose
      * waiter chains are still populated would silently drop fill
      * callbacks — a protocol bug, not a cleanup detail — so it asserts
-     * in debug builds and logs (once) in release before recycling the
-     * orphaned nodes.
+     * in debug builds and logs (once per file) in release before
+     * recycling the orphaned nodes.
      */
     void free(Mshr* m);
 
@@ -141,7 +134,7 @@ class MshrFile
      * Append @p cb to @p chain (slab node from the free list). A record
      * equal to one already chained is dropped: the wake action runs
      * once per fill regardless, so duplicates only cost slab nodes and
-     * redundant calls. (Suppressed when the index/dedup hatch is off.)
+     * redundant calls.
      */
     void pushWaiter(WaiterChain& chain, const FillWaiter& cb);
 
@@ -176,9 +169,6 @@ class MshrFile
     std::uint32_t inUse() const { return count_; }
     std::uint32_t capacity() const { return capacity_; }
 
-    /** True when the O(1) index (and with it waiter dedup) is active. */
-    bool indexEnabled() const { return useIndex_; }
-
     /** Waiter-slab node count (pool-sizing diagnostics and tests). */
     std::size_t waiterSlabSize() const { return waiterPool_.size(); }
 
@@ -202,8 +192,6 @@ class MshrFile
         return blk | (k == Mshr::Kind::Writeback ? 1u : 0u);
     }
 
-    Mshr* lookupScan(Addr blk, const Mshr::Kind* k);
-
     /** Release every node of @p chain back to the slab. */
     void releaseChain(WaiterChain& chain);
     /** Slab-growth slow path of pushWaiter (cold allocation frontier). */
@@ -211,13 +199,13 @@ class MshrFile
 
     std::uint32_t capacity_;
     std::uint32_t count_ = 0;
-    bool useIndex_;
     std::vector<Mshr> slots_;              //!< preallocated, stable
     std::vector<std::uint8_t> live_;       //!< slot occupancy flags
     std::vector<std::uint32_t> freeSlots_; //!< LIFO free list
     FlatAddrMap<std::uint32_t> index_;     //!< tagged block -> slot
     std::vector<WaiterNode> waiterPool_;   //!< shared callback slab
     std::uint32_t waiterFree_ = kNoWaiter;
+    bool warnedLiveWaiters_ = false;
 };
 
 } // namespace invisifence

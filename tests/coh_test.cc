@@ -385,30 +385,28 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomParam{4, 13}, RandomParam{8, 5},
                       RandomParam{8, 17}, RandomParam{16, 23}));
 
-// --------------------------------------- flat directory vs map oracle
+// ------------------------------------ flat directory growth under traffic
 
-TEST(DirectoryFlat, RandomizedFlatVsMapSystemEquivalence)
+TEST(DirectoryFlat, GrowthUnderTrafficMatchesDefaultCapacity)
 {
-    // Two identical rigs, one with the flat per-block table forced on
-    // (at a deliberately tiny capacity, so the table grows and
-    // rehashes under live traffic) and one forced back to the
-    // unordered_map, driven by the same deterministic request/prime
-    // stream. Every directory slice must end bit-equivalent.
+    // Two identical rigs, one with the flat per-block table at a
+    // deliberately tiny capacity (so it grows and rehashes under live
+    // traffic) and one at the default capacity (which never grows
+    // here), driven by the same deterministic request/prime stream.
+    // Every directory slice must end with the same state and counters.
     constexpr std::uint32_t kNodes = 4;
     constexpr std::uint32_t kBlocks = 192;   // >> 16-slot initial table
-    DirectoryParams flat_dp{40, 5};
-    flat_dp.flatTable = 1;
-    flat_dp.flatCapacity = 16;
-    DirectoryParams map_dp{40, 5};
-    map_dp.flatTable = 0;
-    Rig flat_rig(kNodes, AgentParams{}, flat_dp);
-    Rig map_rig(kNodes, AgentParams{}, map_dp);
+    DirectoryParams grow_dp{40, 5};
+    grow_dp.flatCapacity = 16;
+    const DirectoryParams ref_dp{40, 5};
+    Rig grow_rig(kNodes, AgentParams{}, grow_dp);
+    Rig ref_rig(kNodes, AgentParams{}, ref_dp);
 
     // Prime a slab of blocks outside the traffic range identically.
     for (std::uint32_t b = 0; b < 32; ++b) {
         const Addr addr =
             static_cast<Addr>(kBlocks + b) * kBlockBytes;
-        for (Rig* rig : {&flat_rig, &map_rig}) {
+        for (Rig* rig : {&grow_rig, &ref_rig}) {
             DirectorySlice& d = *rig->dirs[homeOf(addr, kNodes)];
             if (b % 2 == 0) {
                 SharerSet sharers = SharerSet::single(b % kNodes);
@@ -429,34 +427,39 @@ TEST(DirectoryFlat, RandomizedFlatVsMapSystemEquivalence)
             const bool write = rng.below(2) == 0;
             // Identical accept/reject decisions are part of the
             // equivalence claim.
-            ASSERT_EQ(flat_rig.agents[n]->request(addr, write),
-                      map_rig.agents[n]->request(addr, write));
+            ASSERT_EQ(grow_rig.agents[n]->request(addr, write),
+                      ref_rig.agents[n]->request(addr, write));
         }
-        flat_rig.settle(2000);
-        map_rig.settle(2000);
+        grow_rig.settle(2000);
+        ref_rig.settle(2000);
     }
-    flat_rig.settle();
-    map_rig.settle();
+    grow_rig.settle();
+    ref_rig.settle();
 
     for (std::uint32_t b = 0; b < kBlocks + 32; ++b) {
         const Addr addr = static_cast<Addr>(b) * kBlockBytes;
         const NodeId home = homeOf(addr, kNodes);
-        const DirectorySlice::EntryView fv =
-            flat_rig.dirs[home]->inspect(addr);
-        const DirectorySlice::EntryView mv =
-            map_rig.dirs[home]->inspect(addr);
-        ASSERT_EQ(static_cast<int>(fv.state), static_cast<int>(mv.state))
+        const DirectorySlice::EntryView gv =
+            grow_rig.dirs[home]->inspect(addr);
+        const DirectorySlice::EntryView rv =
+            ref_rig.dirs[home]->inspect(addr);
+        ASSERT_EQ(static_cast<int>(gv.state), static_cast<int>(rv.state))
             << "block " << b;
-        ASSERT_EQ(fv.sharers, mv.sharers) << "block " << b;
-        ASSERT_EQ(fv.owner, mv.owner) << "block " << b;
+        ASSERT_EQ(gv.sharers, rv.sharers) << "block " << b;
+        ASSERT_EQ(gv.owner, rv.owner) << "block " << b;
     }
     for (NodeId n = 0; n < kNodes; ++n) {
-        ASSERT_TRUE(flat_rig.dirs[n]->quiescent());
-        ASSERT_TRUE(map_rig.dirs[n]->quiescent());
-        EXPECT_EQ(flat_rig.dirs[n]->statStaleWritebacks,
-                  map_rig.dirs[n]->statStaleWritebacks);
-        EXPECT_EQ(flat_rig.dirs[n]->statQueuedRequests,
-                  map_rig.dirs[n]->statQueuedRequests);
+        ASSERT_TRUE(grow_rig.dirs[n]->quiescent());
+        ASSERT_TRUE(ref_rig.dirs[n]->quiescent());
+        const DirectorySlice& g = *grow_rig.dirs[n];
+        const DirectorySlice& r = *ref_rig.dirs[n];
+        EXPECT_EQ(g.statGetS, r.statGetS);
+        EXPECT_EQ(g.statGetM, r.statGetM);
+        EXPECT_EQ(g.statWritebacks, r.statWritebacks);
+        EXPECT_EQ(g.statInvalidationsSent, r.statInvalidationsSent);
+        EXPECT_EQ(g.statMemReads, r.statMemReads);
+        EXPECT_EQ(g.statStaleWritebacks, r.statStaleWritebacks);
+        EXPECT_EQ(g.statQueuedRequests, r.statQueuedRequests);
     }
 }
 
@@ -474,14 +477,8 @@ TEST(CacheAgentBatch, SameTickLocalFillsShareOneEvent)
     for (int i = 0; i < kLoads; ++i)
         ASSERT_TRUE(rig.agents[0]->request(
             addr, false, countWaiter(&done, static_cast<std::uint64_t>(i))));
-    const std::uint64_t scheduled = rig.eq.scheduledCount() - before;
-    if (rig.agents[0]->mshrs().indexEnabled()) {
-        // One batch event carries all five waiters.
-        EXPECT_EQ(scheduled, 1u);
-    } else {
-        // Escape hatch: the legacy one-event-per-request path.
-        EXPECT_EQ(scheduled, static_cast<std::uint64_t>(kLoads));
-    }
+    // One batch event carries all five waiters.
+    EXPECT_EQ(rig.eq.scheduledCount() - before, 1u);
     rig.settle();
     EXPECT_EQ(done, kLoads);
 }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include <unordered_map>
@@ -1030,52 +1031,44 @@ TEST(FlatMap, RandomizedOracleWithGrowthAndErase)
 
 // -------------------------------------------------- MSHR index + dedup
 
-TEST(MshrIndex, OnOffLookupEquivalence)
+TEST(MshrIndex, LookupMatchesScan)
 {
-    // The same allocate/lookup/free stream through an indexed file and
-    // a forced-scan file must agree call for call.
-    MshrFile indexed(8, /*use_index=*/1);
-    MshrFile scanned(8, /*use_index=*/0);
-    ASSERT_TRUE(indexed.indexEnabled());
-    ASSERT_FALSE(scanned.indexEnabled());
+    // A random allocate/lookup/free stream: every indexed lookup must
+    // return the MSHR a scan over the live slots finds (fetch before
+    // writeback for the kind-less lookup).
+    MshrFile f(8);
+    const auto scan = [&f](Addr blk, const Mshr::Kind* k) {
+        const Mshr* found = nullptr;
+        f.forEachLive([&](const Mshr& m) {
+            if (!found && m.blockAddr == blk && (!k || m.kind == *k))
+                found = &m;
+        });
+        return found;
+    };
+    const Mshr::Kind fetch = Mshr::Kind::Fetch;
+    const Mshr::Kind wb = Mshr::Kind::Writeback;
     Rng rng(42);
     for (int step = 0; step < 4000; ++step) {
         const Addr blk = (rng.below(24) + 1) << 6;
-        const auto kind = rng.below(2) == 0 ? Mshr::Kind::Fetch
-                                            : Mshr::Kind::Writeback;
-        switch (rng.below(3)) {
-          case 0: {
-            Mshr* a = indexed.lookup(blk, kind) == nullptr
-                          ? indexed.allocate(blk, kind)
-                          : nullptr;
-            Mshr* b = scanned.lookup(blk, kind) == nullptr
-                          ? scanned.allocate(blk, kind)
-                          : nullptr;
-            EXPECT_EQ(a == nullptr, b == nullptr);
-            break;
-          }
-          case 1:
-            EXPECT_EQ(indexed.lookup(blk, kind) == nullptr,
-                      scanned.lookup(blk, kind) == nullptr);
-            EXPECT_EQ(indexed.lookup(blk) == nullptr,
-                      scanned.lookup(blk) == nullptr);
-            break;
-          case 2:
-            if (Mshr* a = indexed.lookup(blk, kind)) {
-                Mshr* b = scanned.lookup(blk, kind);
-                ASSERT_NE(b, nullptr);
-                indexed.free(a);
-                scanned.free(b);
-            }
-            break;
+        const Mshr::Kind kind = rng.below(2) == 0 ? fetch : wb;
+        const std::uint64_t op = rng.below(3);   // 1: lookups only
+        Mshr* live = f.lookup(blk, kind);
+        if (op == 0 && !live) {
+            const bool was_full = f.full();
+            EXPECT_EQ(f.allocate(blk, kind) == nullptr, was_full);
+        } else if (op == 2 && live) {
+            f.free(live);
         }
-        ASSERT_EQ(indexed.inUse(), scanned.inUse());
+        ASSERT_EQ(f.lookup(blk, fetch), scan(blk, &fetch));
+        ASSERT_EQ(f.lookup(blk, wb), scan(blk, &wb));
+        const Mshr* any = scan(blk, &fetch);
+        ASSERT_EQ(f.lookup(blk), any ? any : scan(blk, &wb));
     }
 }
 
 TEST(MshrIndex, IdenticalWaitersDedupWithStat)
 {
-    MshrFile f(4, /*use_index=*/1);
+    MshrFile f(4);
     Mshr* m = f.allocate(0x300, Mshr::Kind::Fetch);
     int fired = 0;
     // Three pushes of the same record collapse to one waiter node;
@@ -1093,22 +1086,35 @@ TEST(MshrIndex, IdenticalWaitersDedupWithStat)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(MshrIndex, ScanModeKeepsDuplicateWaiters)
+#ifdef NDEBUG
+TEST(Mshr, FreeWithLiveWaitersWarnsOncePerFile)
 {
-    // The escape hatch restores the legacy chain: no dedup.
-    MshrFile f(4, /*use_index=*/0);
-    Mshr* m = f.allocate(0x300, Mshr::Kind::Fetch);
+    // Release builds recycle a freed MSHR's orphaned waiter nodes into
+    // the file's own slab and log once per file, not once per process.
+    MshrFile files[2] = {MshrFile(4), MshrFile(4)};
+    const std::size_t slab = files[0].waiterSlabSize();
     int fired = 0;
-    f.pushWaiter(m->readWaiters, bumpWaiter(&fired, 7));
-    f.pushWaiter(m->readWaiters, bumpWaiter(&fired, 7));
-    EXPECT_EQ(f.statWaiterDedups, 0u);
-    std::uint32_t idx = f.takeWaiters(m->readWaiters);
-    while (idx != kNoWaiter) {
-        FillWaiter cb = f.takeWaiterAndAdvance(idx);
-        cb();
+    ::testing::internal::CaptureStderr();
+    for (int round = 0; round < 2; ++round) {
+        for (MshrFile& f : files) {
+            Mshr* m = f.allocate(0x400, Mshr::Kind::Fetch);
+            for (std::size_t i = 0; i < slab; ++i)
+                f.pushWaiter(m->readWaiters, bumpWaiter(&fired, i));
+            f.free(m);
+        }
     }
-    EXPECT_EQ(fired, 2);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    const std::size_t first = log.find("dropping live waiters");
+    ASSERT_NE(first, std::string::npos);
+    const std::size_t second = log.find("dropping live waiters", first + 1);
+    ASSERT_NE(second, std::string::npos);
+    EXPECT_EQ(log.find("dropping live waiters", second + 1),
+              std::string::npos);
+    for (const MshrFile& f : files)
+        EXPECT_EQ(f.waiterSlabSize(), slab);   // refills never grew it
+    EXPECT_EQ(fired, 0);
 }
+#endif
 
 #ifndef NDEBUG
 using MshrDeathTest = ::testing::Test;

@@ -15,6 +15,7 @@ namespace iflint {
 const std::vector<std::string> kRules = {
     "unordered-iter", "nondet-source", "ptr-hash",
     "raw-shift",      "raw-assert",    "std-function",
+    "ndebug-layout",
 };
 
 // ===================================================================
@@ -528,6 +529,133 @@ runRules(const std::string& path, const std::vector<Token>& toks,
 }
 
 // ---------------------------------------------------------------
+// ndebug-layout: data members inside NDEBUG conditionals
+// ---------------------------------------------------------------
+
+/** Does a class-scope declaration (its tokens up to the ';' or the
+ *  brace that opens a body or initializer) declare a non-static data
+ *  member? A parameter list before any '=' makes it a function. */
+bool
+declaresDataMember(const std::vector<const Token*>& decl)
+{
+    static const std::set<std::string> kNotData = {
+        "using", "typedef", "friend", "static_assert", "enum",  "class",
+        "struct", "union",  "template", "static",     "operator"};
+    static const std::set<std::string> kTypeOps = {"alignas", "decltype",
+                                                   "sizeof", "alignof"};
+    int angle = 0;
+    for (std::size_t k = 0; k < decl.size(); ++k) {
+        const std::string& t = decl[k]->text;
+        if (t == "=")
+            break;   // the initializer is an expression
+        if (kNotData.count(t))
+            return false;
+        angle += t == "<" ? 1 : t == ">" ? -1 : t == ">>" ? -2 : 0;
+        if (t == "(" && angle <= 0 &&
+            !(k > 0 && kTypeOps.count(decl[k - 1]->text)))
+            // `(*fn)(...)` declares a function pointer, anything else
+            // opens a member function's parameter list.
+            return k + 1 < decl.size() && (decl[k + 1]->text == "*" ||
+                                           decl[k + 1]->text == "&");
+    }
+    return !decl.empty();
+}
+
+/**
+ * Flag data members declared in a class body inside an `#ifdef NDEBUG`,
+ * `#ifndef NDEBUG` or `#if ... NDEBUG ...` region (either branch): the
+ * class layout then differs between Debug and Release translation
+ * units, and linking the two corrupts memory. Member functions and code
+ * inside function bodies change no layout.
+ */
+void
+runNdebugLayoutRule(const std::string& path, const std::vector<Token>& toks,
+                    std::vector<Finding>& out)
+{
+    std::vector<bool> conds;   // #if stack: does it mention NDEBUG?
+    // Open braces: 'n' namespace, 'c' class body, 'i' a data member's
+    // brace initializer, 'o' any other (function body, enum, ...).
+    std::vector<char> scopes;
+    std::vector<const Token*> decl;   // pending class-scope declaration
+    bool declInRegion = false;
+    bool classHead = false;
+    bool namespaceHead = false;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const Token& t = toks[i];
+        if (t.text == "#" && (i == 0 || toks[i - 1].line != t.line)) {
+            // A directive runs to the end of its line, plus any
+            // backslash continuations.
+            std::size_t j = i + 1;
+            bool ndebug = false;
+            for (; j < toks.size() &&
+                   (toks[j].line == toks[j - 1].line ||
+                    toks[j - 1].text == "\\");
+                 ++j)
+                ndebug |= toks[j].text == "NDEBUG";
+            const std::string& verb = i + 1 < j ? toks[i + 1].text : t.text;
+            if (verb == "if" || verb == "ifdef" || verb == "ifndef")
+                conds.push_back(ndebug);
+            else if (verb == "elif" && !conds.empty())
+                conds.back() = conds.back() || ndebug;
+            else if (verb == "endif" && !conds.empty())
+                conds.pop_back();
+            i = j - 1;
+            continue;
+        }
+        const char top = scopes.empty() ? 'n' : scopes.back();
+        if (t.text == "{") {
+            char kind = 'o';   // everything inside a function body
+            if (top == 'n' || top == 'c') {
+                if (classHead)
+                    kind = 'c';
+                else if (namespaceHead)
+                    kind = 'n';
+                else if (top == 'c' && declaresDataMember(decl))
+                    kind = 'i';
+            }
+            if (top == 'c' && kind != 'i')
+                decl.clear();   // a nested type or a member function body
+            scopes.push_back(kind);
+            classHead = namespaceHead = false;
+            continue;
+        }
+        if (t.text == "}" && !scopes.empty()) {
+            scopes.pop_back();
+            continue;
+        }
+        if (t.text == ";") {
+            if (top == 'c' && declInRegion && declaresDataMember(decl))
+                out.push_back({path, decl.front()->line, "ndebug-layout",
+                               "data member declared under an NDEBUG "
+                               "conditional: Debug and Release objects of "
+                               "this class differ in layout"});
+            classHead = namespaceHead = false;
+        }
+        classHead |= (t.text == "class" || t.text == "struct" ||
+                      t.text == "union") &&
+                     !(i > 0 && (toks[i - 1].text == "enum" ||
+                                 toks[i - 1].text == "<" ||
+                                 toks[i - 1].text == ","));
+        namespaceHead |= t.text == "namespace" || t.text == "extern";
+        if (top != 'c')
+            continue;
+        const bool access = t.text == ":" && decl.size() == 1 &&
+                            (decl[0]->text == "public" ||
+                             decl[0]->text == "private" ||
+                             decl[0]->text == "protected");
+        if (t.text == ";" || access) {
+            decl.clear();
+            continue;
+        }
+        if (decl.empty())
+            declInRegion = false;
+        decl.push_back(&t);
+        declInRegion |=
+            std::find(conds.begin(), conds.end(), true) != conds.end();
+    }
+}
+
+// ---------------------------------------------------------------
 // Suppressions
 // ---------------------------------------------------------------
 
@@ -669,6 +797,7 @@ analyzeFile(const std::string& path, const std::string& text,
 
     std::vector<Finding> raw;
     runRules(path, toks, unorderedNames, unorderedAliases, raw);
+    runNdebugLayoutRule(path, toks, raw);
     SuppressionSet supp = parseSuppressions(path, lex);
 
     for (const Finding& f : raw) {

@@ -171,7 +171,9 @@ INSTANTIATE_TEST_SUITE_P(
         RuleFixtureCase{"bad_raw_assert.cc", "good_raw_assert.cc",
                         "raw-assert", 1},
         RuleFixtureCase{"sim/bad_std_function.cc",
-                        "sim/good_std_function.cc", "std-function", 1}),
+                        "sim/good_std_function.cc", "std-function", 1},
+        RuleFixtureCase{"bad_ndebug_layout.cc", "good_ndebug_layout.cc",
+                        "ndebug-layout", 5}),
     [](const testing::TestParamInfo<RuleFixtureCase>& pinfo) {
         std::string n = pinfo.param.rule;
         std::replace(n.begin(), n.end(), '-', '_');
@@ -231,6 +233,20 @@ TEST(Pass1, HotDirScopingOnlyAppliesStdFunctionRuleUnderHotPaths)
                                          none);
     ASSERT_EQ(hot.findings.size(), 1u);
     EXPECT_EQ(hot.findings[0].rule, "std-function");
+}
+
+TEST(Pass1, NdebugLayoutReportsEachBranchAndHonorsSuppression)
+{
+    const std::set<std::string> none;
+    const auto r = iflint::analyzeFile(
+        "x.hh",
+        "struct S {\n#ifdef NDEBUG\n  int a;\n#else\n  long b;\n"
+        "  int c;  // iflint:allow(ndebug-layout) fixture\n#endif\n};\n",
+        none, none);
+    ASSERT_EQ(r.findings.size(), 2u);
+    EXPECT_EQ(r.findings[0].line, 3);
+    EXPECT_EQ(r.findings[1].line, 5);
+    EXPECT_EQ(r.suppressionsHonored, 1);
 }
 
 // --------------------------------------------------------- allow file
