@@ -397,7 +397,45 @@ CacheAgent::deliver(const Msg& msg)
 }
 
 void
-CacheAgent::completeLocalFill(Addr block, FillWaiter cb, int attempt)
+CacheAgent::noteRefusedFill(Addr block, std::uint32_t attempt)
+{
+    ++statDeferredFills;
+    if (attempt == 0)
+        ++statDeferredFillEpisodes;
+    if (attempt >= kOverflowRetryBound && listener_)
+        listener_->resolveSpecEvictionHard(block);
+}
+
+void
+CacheAgent::deferFill(RetryRecord::Fn fn, Addr block, FillWaiter cb)
+{
+    eq_.scheduleRetry(kOverflowRetryDelay,
+                      RetryRecord{fn, this, block, cb, 1, node_});
+}
+
+Cycle
+CacheAgent::retryFinishFill(void* owner, RetryRecord& rec)
+{
+    if (!static_cast<CacheAgent*>(owner)->finishFill(rec.block,
+                                                      rec.attempt))
+        return 0;
+    ++rec.attempt;
+    return kOverflowRetryDelay;
+}
+
+Cycle
+CacheAgent::retryLocalFill(void* owner, RetryRecord& rec)
+{
+    if (!static_cast<CacheAgent*>(owner)->completeLocalFill(
+            rec.block, rec.waiter, rec.attempt))
+        return 0;
+    ++rec.attempt;
+    return kOverflowRetryDelay;
+}
+
+bool
+CacheAgent::completeLocalFill(Addr block, FillWaiter cb,
+                              std::uint32_t attempt)
 {
     // Revalidate: an external request may have taken the block away
     // while the fill was pending.
@@ -406,18 +444,14 @@ CacheAgent::completeLocalFill(Addr block, FillWaiter cb, int attempt)
         if (!installL1(block, l2line)) {
             // Speculative overflow: wait for the store buffer to drain
             // and the speculation to commit (bounded by a hard abort).
-            ++statDeferredFills;
-            if (attempt >= 200 && listener_)
-                listener_->resolveSpecEvictionHard(block);
-            eq_.schedule(10, [this, block, cb, attempt]() {
-                completeLocalFill(block, cb, attempt + 1);
-            }, node_);
-            return;
+            noteRefusedFill(block, attempt);
+            return true;
         }
         ++statL1FillsLocal;
     }
     if (cb)
         cb();
+    return false;
 }
 
 void
@@ -430,8 +464,10 @@ CacheAgent::runLocalFillBatch(std::uint32_t slot)
         std::move(localBatches_[slot].waiters);
     // Each waiter revalidates/defers independently, exactly as the N
     // adjacent per-waiter events it replaces would have.
-    for (const FillWaiter& cb : waiters)
-        completeLocalFill(block, cb, 0);
+    for (const FillWaiter& cb : waiters) {
+        if (completeLocalFill(block, cb, 0))
+            deferFill(&retryLocalFill, block, cb);
+    }
     waiters.clear();
     LocalFillBatch& b = localBatches_[slot];
     b.waiters = std::move(waiters);   // recycle the capacity
@@ -456,15 +492,16 @@ CacheAgent::handleFill(const Msg& msg)
 
     installL2(msg.blockAddr, msg.data, state);
     ++statL1FillsRemote;
-    finishFill(msg.blockAddr, 0);
+    if (finishFill(msg.blockAddr, 0))
+        deferFill(&retryFinishFill, msg.blockAddr, {});
 }
 
-void
-CacheAgent::finishFill(Addr block, int attempt)
+bool
+CacheAgent::finishFill(Addr block, std::uint32_t attempt)
 {
     Mshr* m = mshrs_.lookup(block, Mshr::Kind::Fetch);
     if (!m)
-        return;
+        return false;
 
     CacheArray::Line l2line = l2_.lookup(block);
     if (!l2line) {
@@ -473,20 +510,15 @@ CacheAgent::finishFill(Addr block, int attempt)
         m->issuedWrite = m->wantWrite;
         sendRequest(m, m->wantWrite ? MsgType::GetM : MsgType::GetS,
                     nullptr, false);
-        return;
+        return false;
     }
 
     if (!installL1(block, l2line)) {
         // Speculative overflow (Section 4.1): defer the fill while the
         // store buffer drains so the speculation can commit, with a
         // bounded fallback to abort for forward progress.
-        ++statDeferredFills;
-        if (attempt >= 200 && listener_)
-            listener_->resolveSpecEvictionHard(block);
-        eq_.schedule(10, [this, block, attempt]() {
-            finishFill(block, attempt + 1);
-        }, node_);
-        return;
+        noteRefusedFill(block, attempt);
+        return true;
     }
 
     const bool writable = isWritable(l2line.state());
@@ -530,6 +562,7 @@ CacheAgent::finishFill(Addr block, int attempt)
         mshrs_.free(m);
         --fetchCount_;
     }
+    return false;
 }
 
 void
@@ -701,6 +734,8 @@ CacheAgent::registerStats(StatRegistry& reg,
     reg.registerStat(prefix + ".forced_spec_evictions",
                      &statForcedSpecEvictions);
     reg.registerStat(prefix + ".deferred_fills", &statDeferredFills);
+    reg.registerStat(prefix + ".deferred_fill_episodes",
+                     &statDeferredFillEpisodes);
     reg.registerStat(prefix + ".l2_evictions", &statL2Evictions);
     reg.registerStat(prefix + ".mshr.allocations",
                      &mshrs_.statAllocations);
@@ -768,16 +803,13 @@ CacheAgent::installL1(Addr block, CacheArray::Line l2line)
     }
 
     bool forced = false;
-    const auto avoid = [](const CacheArray::Line& line) {
-        return line.speculative();
-    };
-    CacheArray::Line victim = l1_.findVictim(block, avoid, &forced);
+    CacheArray::Line victim = l1_.findNonSpeculativeVictim(block, &forced);
     if (forced) {
         IF_DBG_ASSERT(listener_);
         ++statForcedSpecEvictions;
         if (!listener_->resolveSpecEviction(victim.blockAddr()))
             return {};   // caller defers the fill and retries
-        victim = l1_.findVictim(block, avoid, &forced);
+        victim = l1_.findNonSpeculativeVictim(block, &forced);
         IF_DBG_ASSERT(!forced && "speculation unresolved after forced eviction");
     }
     if (victim.valid()) {

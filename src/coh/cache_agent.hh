@@ -240,7 +240,15 @@ class CacheAgent
     std::uint64_t statExternalDeferred = 0;
     std::uint64_t statCleanWritebacks = 0;
     std::uint64_t statForcedSpecEvictions = 0;
+    /** @{ Speculative overflow (Section 4.1). A fill refused because
+     *  every candidate L1 way is speculative waits for the speculation
+     *  to commit, retrying every kOverflowRetryDelay cycles.
+     *  deferred_fills counts refused attempts: the first refusal and
+     *  every refused retry. deferred_fill_episodes counts deferrals: a
+     *  waiter's first refusal only. */
     std::uint64_t statDeferredFills = 0;
+    std::uint64_t statDeferredFillEpisodes = 0;
+    /** @} */
     std::uint64_t statL2Evictions = 0;
 
     /** @{ Fault-tolerance counters (all zero with the knobs off). */
@@ -273,10 +281,29 @@ class CacheAgent
      * cache overflow).
      */
     CacheArray::Line installL1(Addr block, CacheArray::Line l2line);
-    /** Retry loop for network fills blocked on speculative eviction. */
-    void finishFill(Addr block, int attempt);
-    /** Retry loop for L2/VC-local fills (same deferral rules). */
-    void completeLocalFill(Addr block, FillWaiter cb, int attempt);
+
+    /** @{ Overflow retry: a refused fill tries again every 10 cycles;
+     *  attempt 200 (and any later one) hard-aborts the speculation
+     *  before retrying, which bounds the wait. */
+    static constexpr Cycle kOverflowRetryDelay = 10;
+    static constexpr std::uint32_t kOverflowRetryBound = 200;
+    /** @} */
+    /** Count refused attempt @p attempt; hard-abort at the bound. */
+    void noteRefusedFill(Addr block, std::uint32_t attempt);
+    /** Defer a refused fill: attempt 1 of @p fn in one retry period. */
+    void deferFill(RetryRecord::Fn fn, Addr block, FillWaiter cb);
+    /**
+     * One attempt at finishing a network fill; true when the L1 refused
+     * it (speculative overflow) and it must be retried.
+     */
+    bool finishFill(Addr block, std::uint32_t attempt);
+    /** One attempt at an L2/VC-local fill (same deferral rules). */
+    bool completeLocalFill(Addr block, FillWaiter cb,
+                           std::uint32_t attempt);
+    /** @{ Batched-retry thunks (RetryRecord::Fn) of the two sites. */
+    static Cycle retryFinishFill(void* owner, RetryRecord& rec);
+    static Cycle retryLocalFill(void* owner, RetryRecord& rec);
+    /** @} */
     /** Run one batch of merged same-(block, due) local-fill waiters. */
     void runLocalFillBatch(std::uint32_t slot);
     void evictL2Line(CacheArray::Line line);

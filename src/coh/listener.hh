@@ -45,6 +45,13 @@ class CoherenceListener
      * false and the agent defers the fill while the store buffer drains
      * (Section 4.1: on cache overflow the processor waits for the store
      * buffer to drain before committing).
+     *
+     * Contract: a deferred fill calls this again on every 10-cycle
+     * retry, so a refusal must be idempotent apart from its counters —
+     * repeating it on unchanged state must leave the same state and
+     * return the same verdict. SpeculativeImpl relies on this to replay
+     * a refusal without rescanning while the core's work version is
+     * unchanged.
      */
     virtual bool resolveSpecEviction(Addr block) = 0;
 

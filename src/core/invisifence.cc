@@ -917,23 +917,41 @@ SpeculativeImpl::resolveSpecEviction(Addr block)
     ++statForcedEvictions;
     if (!speculating())
         return true;   // stale bits cannot exist; nothing to resolve
-    // Commit everything if every active checkpoint could commit right
-    // now; otherwise the agent defers the fill while the store buffer
-    // drains (Section 4.1: wait for the drain, then commit).
-    bool all_ready = !anyNonSpecSbEntry();
-    for (const std::uint32_t c : order_) {
-        if (!sb_.emptyOfCtx(c) || robHasMarkedLoads(c))
-            all_ready = false;
+    // A refused fill retries every 10 cycles. Every input of the
+    // verdict (SB entries, ROB specMarked entries, order_) changes only
+    // together with a core noteWork(), so an unchanged work version
+    // means an unchanged refusal: replay its side effects, skip the
+    // scans.
+    if (core_.workVersion() != refusedAtVersion_ && allCkptsReady()) {
+        while (speculating())
+            finishCommit(order_.front());
+        return true;
     }
-    if (!all_ready) {
-        commitPressure_ = true;
-        for (const std::uint32_t c : order_)
-            ckpts_[c].closed = true;
-        core_.noteWork();
+    // Otherwise the agent defers the fill while the store buffer drains
+    // (Section 4.1: wait for the drain, then commit).
+    commitPressure_ = true;
+    for (const std::uint32_t c : order_)
+        ckpts_[c].closed = true;
+    core_.noteWork();
+    refusedAtVersion_ = core_.workVersion();
+    return false;
+}
+
+bool
+SpeculativeImpl::allCkptsReady() const
+{
+    // Cheapest test first: every store-buffer check before any ROB
+    // scan, and stop at the first checkpoint that is not ready.
+    if (anyNonSpecSbEntry())
         return false;
+    for (const std::uint32_t c : order_) {
+        if (!sb_.emptyOfCtx(c))
+            return false;
     }
-    while (speculating())
-        finishCommit(order_.front());
+    for (const std::uint32_t c : order_) {
+        if (robHasMarkedLoads(c))
+            return false;
+    }
     return true;
 }
 

@@ -186,6 +186,8 @@ class SpeculativeImpl : public ConsistencyImpl
     bool anyNonSpecSbEntry() const;
     bool robHasMarkedLoads(std::uint32_t ctx) const;
     bool commitConditionsMet(std::uint32_t ctx, bool ignore_closed) const;
+    /** Could every active checkpoint commit right now? */
+    bool allCkptsReady() const;
     /** Advance the oldest checkpoint toward commit; true if it retired. */
     bool tryCommitOldest(bool force_close);
     void finishCommit(std::uint32_t ctx);
@@ -200,6 +202,9 @@ class SpeculativeImpl : public ConsistencyImpl
     /** A deferred fill is waiting: stop extending speculation so the
      *  store buffer drains and the commit can fire (Section 4.1). */
     bool commitPressure_ = false;
+    /** Core work version right after resolveSpecEviction's last
+     *  refusal: while it is unchanged, so is the refusal. */
+    std::uint64_t refusedAtVersion_ = ~std::uint64_t{0};
     bool covArmed_ = false;
     Cycle covDeadline_ = 0;
     /** Blocks with a cleaning writeback in flight. A small flat vector

@@ -181,12 +181,14 @@ Core::retireStage()
         }
         ++retired;
         ++statRetired;
+        // Bump per retirement, not once after the loop: the next
+        // iteration's onRetire can consult consistency state keyed on
+        // the work version (SpeculativeImpl's refusal memo), and this
+        // retirement just removed a ROB entry.
+        noteWork();
         if (mispredict)
             break;
     }
-
-    if (retired > 0)
-        noteWork();
 
     const StallKind kind =
         retired > 0 ? StallKind::None

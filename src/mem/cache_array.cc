@@ -83,11 +83,10 @@ CacheArray::renormalizeLru()
     lruCounter_ = ways_;
 }
 
+template <typename Avoid>
 CacheArray::Line
-CacheArray::findVictim(Addr addr, FunctionRef<bool(const Line&)> avoid,
-                       bool* forced_avoided)
+CacheArray::pickVictim(Addr addr, Avoid avoid, bool* forced_avoided)
 {
-    IF_HOT;
     const std::uint32_t base = setIndex(addr) * ways_;
     const CacheTag* tags = &tags_[base];
     if (forced_avoided)
@@ -106,7 +105,7 @@ CacheArray::findVictim(Addr addr, FunctionRef<bool(const Line&)> avoid,
             tag.lruStamp < tags_[best_any].lruStamp) {
             best_any = base + w;
         }
-        if (avoid && avoid(Line{this, base + w}))
+        if (avoid(base + w))
             continue;
         if (best == kNoFrame || tag.lruStamp < tags_[best].lruStamp)
             best = base + w;
@@ -120,9 +119,32 @@ CacheArray::findVictim(Addr addr, FunctionRef<bool(const Line&)> avoid,
 }
 
 CacheArray::Line
+CacheArray::findVictim(Addr addr, FunctionRef<bool(const Line&)> avoid,
+                       bool* forced_avoided)
+{
+    IF_HOT;
+    return pickVictim(
+        addr,
+        [&](std::uint32_t frame) {
+            return avoid && avoid(Line{this, frame});
+        },
+        forced_avoided);
+}
+
+CacheArray::Line
 CacheArray::findVictim(Addr addr)
 {
     return findVictim(addr, nullptr, nullptr);
+}
+
+CacheArray::Line
+CacheArray::findNonSpeculativeVictim(Addr addr, bool* forced_avoided)
+{
+    IF_HOT;
+    return pickVictim(
+        addr,
+        [this](std::uint32_t frame) { return tags_[frame].speculative(); },
+        forced_avoided);
 }
 
 void

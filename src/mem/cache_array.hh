@@ -266,6 +266,14 @@ class CacheArray
     Line findVictim(Addr addr);
 
     /**
+     * findVictim avoiding speculative lines (the L1's predicate), with
+     * the test inlined on the tag instead of called per way. A set whose
+     * ways are all valid and speculative returns its LRU frame with
+     * @p forced_avoided set.
+     */
+    Line findNonSpeculativeVictim(Addr addr, bool* forced_avoided);
+
+    /**
      * Flash-clear all speculative read/written bits of context @p ctx
      * (commit; Figure 3 left/middle cells). Single cycle in hardware;
      * O(lines marked in @p ctx) here via the incremental index.
@@ -323,6 +331,9 @@ class CacheArray
                       CoherenceState s);
     void invalidateFrame(std::uint32_t frame);
     void renormalizeLru();
+    /** Shared body of the findVictim family; @p avoid tests a frame. */
+    template <typename Avoid>
+    Line pickVictim(Addr addr, Avoid avoid, bool* forced_avoided);
 #ifndef NDEBUG
     void verifySpecIndex() const;
 #endif

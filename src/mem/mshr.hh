@@ -34,35 +34,11 @@
 #include "coh/message.hh"
 #include "mem/block.hh"
 #include "sim/annotations.hh"
+#include "sim/fill_waiter.hh"
 #include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace invisifence {
-
-/**
- * Typed fill-completion callback: a plain function pointer applied to
- * {owner, arg}. Trivially copyable and equality-comparable, so merged
- * waiters for the same wake action deduplicate structurally. The load
- * path uses {Core's wake thunk, core, block | write-wake bit}.
- */
-struct FillWaiter
-{
-    using Fn = void (*)(void* owner, std::uint64_t arg);
-
-    Fn fn = nullptr;
-    void* owner = nullptr;
-    std::uint64_t arg = 0;
-
-    explicit operator bool() const { return fn != nullptr; }
-    bool operator==(const FillWaiter&) const = default;
-
-    void
-    operator()() const
-    {
-        if (fn)
-            fn(owner, arg);
-    }
-};
 
 /** Sentinel for an empty waiter chain / free-list end. */
 constexpr std::uint32_t kNoWaiter = 0xffffffffu;

@@ -25,6 +25,17 @@
  * dispatched through a single registered function pointer (the
  * Network's devirtualized dispatch table) instead of per-endpoint
  * std::function sinks.
+ *
+ * Retries are *batched*: a RetryRecord due at tick T is appended to the
+ * batch already open for T when nothing else was scheduled since that
+ * batch's last append. The records would have been adjacent events in
+ * T's FIFO chain, so running them back to back inside one queue node
+ * is unobservable; the activity counters, size() and the wake hook
+ * still see one event per record. A batch is a list of fixed-size
+ * record chunks. A running batch whose records ask to run again keeps
+ * them in place, behind the ones still to run, and is linked whole onto
+ * the batch open for their tick; so a refused record is not copied,
+ * and merging batches copies nothing.
  */
 
 #ifndef INVISIFENCE_SIM_EVENT_QUEUE_HH
@@ -34,11 +45,13 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
 
 #include "coh/message.hh"
+#include "sim/fill_waiter.hh"
 #include "sim/types.hh"
 
 namespace invisifence {
@@ -54,21 +67,46 @@ constexpr std::uint32_t kNoWakeNode = 0xffffffffu;
 constexpr std::size_t kEventInlineBytes = sizeof(Msg) + 2 * sizeof(void*);
 
 /**
+ * One attempt of a batched retry (see EventQueue::scheduleRetry): a
+ * fixed-size, trivially copyable record. fn runs the attempt and returns
+ * the delay before the next one, or 0 when the retry is finished; it may
+ * update the record (e.g. count the attempt) before asking to run again.
+ * block, waiter and attempt are the owner's payload; wakeNode is the
+ * core woken before each attempt, as for any tagged event.
+ */
+struct RetryRecord
+{
+    using Fn = Cycle (*)(void* owner, RetryRecord& rec);
+
+    Fn fn = nullptr;
+    void* owner = nullptr;
+    Addr block = 0;
+    FillWaiter waiter{};
+    std::uint32_t attempt = 0;
+    std::uint32_t wakeNode = kNoWakeNode;
+};
+
+static_assert(std::is_trivially_copyable_v<RetryRecord>,
+              "retry records are copied and carried with memcpy");
+
+/**
  * One scheduled event: a tagged, fixed-size, trivially copyable slot.
  *
  * kind == MsgDelivery: payload holds a Msg; sinkIdx names the endpoint in
  * the owning Network's dispatch table. kind == Callback: payload holds a
- * trivially-copyable closure invoked through the stored thunk.
+ * trivially-copyable closure invoked through the stored thunk. kind ==
+ * RetryBatch: batch names the first record chunk of the batch.
  */
 struct Event
 {
-    enum class Kind : std::uint8_t { Callback, MsgDelivery };
+    enum class Kind : std::uint8_t { Callback, MsgDelivery, RetryBatch };
 
     Cycle when = 0;
     void (*invoke)(void*) = nullptr;       //!< Callback thunk
     std::uint32_t wakeNode = kNoWakeNode;  //!< core to wake on execute
     std::uint32_t sinkIdx = 0;             //!< MsgDelivery endpoint
     Kind kind = Kind::Callback;
+    std::uint32_t batch = 0;               //!< RetryBatch first chunk
     alignas(std::max_align_t) unsigned char payload[kEventInlineBytes];
 
     Msg*
@@ -151,6 +189,20 @@ class EventQueue
     }
 
     /**
+     * Schedule retry @p rec to make its next attempt @p delay cycles
+     * from now. It joins the batch open for that tick when nothing else
+     * was scheduled since the batch's last append, else opens a new
+     * batch there. Either way it runs exactly where a separate event
+     * scheduled now would have run, and counts as one scheduled and
+     * one executed event.
+     */
+    void
+    scheduleRetry(Cycle delay, const RetryRecord& rec)
+    {
+        appendRetry(now_ + delay, rec, false);
+    }
+
+    /**
      * Devirtualized message delivery: one function pointer + context for
      * the whole queue (the Network and its endpoint table), replacing a
      * std::function sink per endpoint.
@@ -191,6 +243,7 @@ class EventQueue
 
     Cycle now() const { return now_; }
     bool empty() const { return size_ == 0; }
+    /** Pending events, counting each retry record as one. */
     std::size_t size() const { return size_; }
 
     /** Tick of the earliest pending event; only valid when !empty(). */
@@ -204,6 +257,10 @@ class EventQueue
     std::uint64_t scheduledCount() const { return nextSeq_; }
     std::uint64_t executedCount() const { return executed_; }
     /** @} */
+
+    /** Queue nodes dispatched: one per plain event, one per retry
+     *  batch however many records it ran (host-side diagnostics). */
+    std::uint64_t dispatchedNodes() const { return dispatched_; }
 
   private:
     static constexpr std::uint32_t kWheelBits = 11;
@@ -251,6 +308,12 @@ class EventQueue
         chain.tail = idx;
     }
 
+    /** Clamp a past @p when to now (warning once); returns the tick. */
+    Cycle clampWhen(Cycle when);
+    /** Link a fresh node at @p when into its chain; returns its index.
+     *  Counts nothing: events and retry records count themselves. */
+    std::uint32_t linkNode(Cycle when, std::uint32_t wake_node);
+
     /**
      * Claim a pooled slot for an event at @p when (common, non-template
      * bookkeeping behind schedule/scheduleMsg). The caller fills kind
@@ -258,6 +321,36 @@ class EventQueue
      * the slab and invalidate the reference.
      */
     Event& emplaceSlot(Cycle when, std::uint32_t wake_node);
+
+    /** A fixed-size block of retry records; a batch is a list of them.
+     *  Allocated one by one so records never move while they run. */
+    struct RetryChunk
+    {
+        static constexpr std::uint32_t kRecords = 16;
+        RetryRecord recs[kRecords];
+        std::uint32_t count = 0;
+        std::uint32_t next = kNilNode;   //!< batch list, or free list
+    };
+    RetryChunk& chunk(std::uint32_t c) { return *chunks_[c]; }
+    const RetryChunk& chunk(std::uint32_t c) const { return *chunks_[c]; }
+    /** Append @p rec at @p when; @p carry marks the running record's
+     *  own next attempt (the only append that may overwrite it). */
+    void appendRetry(Cycle when, const RetryRecord& rec, bool carry);
+    /** Link a queue node at @p when running the batch at chunk @p c. */
+    void linkBatch(std::uint32_t c, Cycle when);
+    /** An empty chunk from the free list (or a fresh one). */
+    std::uint32_t takeChunk();
+    /** Free-list miss of takeChunk (cold, allocation frontier). */
+    IF_COLD_FN std::uint32_t growChunks();
+    /** Seal the writer's chunk and move it to the running chunk. */
+    void jumpWriter();
+    /** Next in-place slot of the running batch's carried records. */
+    RetryRecord& writerSlot();
+    /** Is the writer's next slot strictly behind the running record? */
+    bool writerBehind() const;
+    /** Run every record of the batch starting at chunk @p head, due
+     *  at @p when, in order. */
+    void runRetryBatch(std::uint32_t head, Cycle when);
 
     /** The shared event/Msg slab; nodes are free-listed and recycled. */
     std::vector<Node> pool_;
@@ -282,11 +375,39 @@ class EventQueue
     std::map<Cycle, Chain> far_;
     /** Extracted far_ nodes awaiting reuse (see farChain()). */
     std::vector<std::map<Cycle, Chain>::node_type> farPool_;
+    /** Retry-record chunks (stable addresses) and their free list. */
+    std::vector<std::unique_ptr<RetryChunk>> chunks_;
+    std::uint32_t freeChunk_ = kNilNode;
+    /** @{ The batch accepting appends, due at openWhen_ and adjacent
+     *  while nextSeq_ still equals openSeq_ (nothing scheduled since its
+     *  last append). Its tail is chunk openTail_, or the running
+     *  batch's writer when openAtWriter_. */
+    std::uint32_t openTail_ = kNilNode;
+    bool openAtWriter_ = false;
+    Cycle openWhen_ = 0;
+    std::uint64_t openSeq_ = 0;
+    /** @} */
+    /** @{ The running batch: record runRead_ of chunk runChunk_ is
+     *  executing. Its first carried record reopens it (runReopened_):
+     *  carried records then go to the writer (writeChunk_, writeIdx_),
+     *  which never passes the running record. The writer compacts
+     *  within a chunk and packs a chunk's carries into an earlier
+     *  chunk only when they all fit there (decided once per chunk,
+     *  writeFor_), so a carry never shifts a full chunk and usually
+     *  copies nothing. */
+    std::uint32_t runChunk_ = kNilNode;
+    std::uint32_t runRead_ = 0;
+    std::uint32_t writeChunk_ = kNilNode;
+    std::uint32_t writeFor_ = kNilNode;
+    std::uint32_t writeIdx_ = 0;
+    bool runReopened_ = false;
+    /** @} */
     std::size_t size_ = 0;
     /** Lower bound on the earliest pending tick (lazily advanced). */
     mutable Cycle nextTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t dispatched_ = 0;
     Cycle now_ = 0;
     WakeHook wakeHook_ = nullptr;
     void* wakeCtx_ = nullptr;

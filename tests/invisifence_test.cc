@@ -365,6 +365,162 @@ TEST(SpecOverflow, TinyL1ForcesResolutionWithoutHanging)
     EXPECT_EQ(sys->agent(0).specFootprint(), 0u);
 }
 
+namespace {
+
+/** What one stepped two-core overflow run did, cycle by cycle. */
+struct OverflowTrace
+{
+    std::vector<Cycle> fills[2];      //!< cycle of every L1 fill
+    std::vector<Cycle> bothRefused;   //!< cycles both cores were refused
+    std::uint64_t deferredFills[2] = {0, 0};
+    std::uint64_t forcedSpecEvictions[2] = {0, 0};
+    std::uint64_t forcedEvictions[2] = {0, 0};
+    std::uint64_t commits[2] = {0, 0};
+    std::uint64_t aborts[2] = {0, 0};
+    Cycle doneAt = 0;
+};
+
+/**
+ * Two InvisiSC cores on 2-way 1KB L1s each warm 24 blocks into their
+ * L2, start a speculation with a store miss, and re-read the blocks 41
+ * instructions apart, so every load executes after the previous one
+ * retired and marked its line: the marked lines fill each L1 set and
+ * later fills are refused (Section 4.1 overflow) until the store
+ * drains. The run is stepped one cycle at a time to record every fill
+ * completion and every cycle in which both cores' retries were refused.
+ */
+OverflowTrace
+runOverflowPair(Cycle mem_latency)
+{
+    SystemParams params = slowMem(2);
+    params.agent.l1Size = 1024;
+    params.dir.memLatency = mem_latency;
+    std::vector<std::vector<ScriptOp>> scripts(2);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        const std::uint32_t base = 400 + 100 * c;
+        std::vector<ScriptOp>& s = scripts[c];
+        for (std::uint32_t i = 0; i < 24; ++i)
+            s.push_back(opLoad(taddr(base + 1 + i)));   // warm L2
+        s.push_back(opAlu(250));
+        s.push_back(opStore(taddr(base), 1));   // miss: speculate
+        for (std::uint32_t i = 0; i < 24; ++i) {
+            s.push_back(opLoad(taddr(base + 1 + i)));
+            for (std::uint32_t g = 0; g < 40; ++g)
+                s.push_back(opAlu(1));
+        }
+    }
+    auto sys = makeScripted(scripts, ImplKind::InvisiSC, params);
+    OverflowTrace t;
+    std::uint64_t fills[2] = {0, 0};
+    std::uint64_t deferred[2] = {0, 0};
+    bool done = false;
+    for (Cycle step = 0; step < 100000 && !done; ++step) {
+        done = sys->runUntilDone(1);
+        bool refused[2] = {false, false};
+        for (std::uint32_t c = 0; c < 2; ++c) {
+            const CacheAgent& a = sys->agent(c);
+            const std::uint64_t f =
+                a.statL1FillsLocal + a.statL1FillsRemote;
+            for (; fills[c] < f; ++fills[c])
+                t.fills[c].push_back(sys->now());
+            refused[c] = a.statDeferredFills != deferred[c];
+            deferred[c] = a.statDeferredFills;
+        }
+        if (refused[0] && refused[1])
+            t.bothRefused.push_back(sys->now());
+    }
+    EXPECT_TRUE(done);
+    t.doneAt = sys->now();
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        t.deferredFills[c] = sys->agent(c).statDeferredFills;
+        t.forcedSpecEvictions[c] = sys->agent(c).statForcedSpecEvictions;
+        t.forcedEvictions[c] = spec(*sys, c).statForcedEvictions;
+        t.commits[c] = spec(*sys, c).statCommits;
+        t.aborts[c] = spec(*sys, c).statAborts;
+        EXPECT_EQ(sys->agent(c).specFootprint(), 0u);
+    }
+    return t;
+}
+
+/** Cycles in [first, last] stepping by 10: one retry per period. */
+std::vector<Cycle>
+everyTenth(Cycle first, Cycle last)
+{
+    std::vector<Cycle> v;
+    for (Cycle c = first; c <= last; c += 10)
+        v.push_back(c);
+    return v;
+}
+
+} // namespace
+
+TEST(SpecOverflow, TwoCoresRefusedInTheSameCycleResolveByCommit)
+{
+    // Pins the overflow-retry path exactly: both cores' retries are due
+    // in the same cycles (so they share one queue tick), the store
+    // drains at memory latency 400, and the commit lets the waiting
+    // fills complete. Every value below is the reference behaviour.
+    const OverflowTrace t = runOverflowPair(400);
+    EXPECT_EQ(t.fills[0],
+              (std::vector<Cycle>{
+                  414, 415, 415, 416, 417, 417, 418, 419, 419, 420, 421,
+                  421, 452, 452, 453, 454, 454, 455, 456, 456, 457, 458,
+                  458, 459, 470, 481, 491, 501, 511, 522, 532, 542, 552,
+                  563, 573, 583, 593, 872, 874, 882, 892, 902, 913, 923,
+                  933, 943}));
+    EXPECT_EQ(t.fills[1],
+              (std::vector<Cycle>{
+                  414, 414, 415, 416, 416, 417, 418, 418, 419, 420, 420,
+                  421, 452, 453, 453, 454, 455, 455, 456, 457, 457, 458,
+                  459, 459, 459, 471, 481, 491, 501, 512, 522, 532, 542,
+                  553, 563, 573, 583, 594, 911, 914, 921, 931, 942, 952,
+                  962, 972, 983}));
+    EXPECT_EQ(t.bothRefused, everyTenth(604, 864));
+    EXPECT_EQ(t.deferredFills[0], 27u);
+    EXPECT_EQ(t.deferredFills[1], 31u);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(t.forcedSpecEvictions[c], t.deferredFills[c]);
+        EXPECT_EQ(t.forcedEvictions[c], t.deferredFills[c]);
+        EXPECT_EQ(t.commits[c], 1u);
+        EXPECT_EQ(t.aborts[c], 0u);
+    }
+    EXPECT_EQ(t.doneAt, 1013u);
+}
+
+TEST(SpecOverflow, StuckDrainReachesTheHardAbortAtAttempt200)
+{
+    // Memory latency 3000 outlasts the retry bound: each core's waiting
+    // fill is refused on attempts 0..200 (every 10 cycles from 3204),
+    // attempt 200 hard-aborts the speculation, and attempt 201 installs
+    // at 5214. Every value below is the reference behaviour.
+    const OverflowTrace t = runOverflowPair(3000);
+    EXPECT_EQ(t.fills[0],
+              (std::vector<Cycle>{
+                  3014, 3015, 3015, 3016, 3017, 3017, 3018, 3019, 3019,
+                  3020, 3021, 3021, 3052, 3052, 3053, 3054, 3054, 3055,
+                  3056, 3056, 3057, 3058, 3058, 3059, 3070, 3081, 3091,
+                  3101, 3111, 3122, 3132, 3142, 3152, 3163, 3173, 3183,
+                  3193, 5214, 6072, 6123, 6205, 6226, 6236, 6246, 6257,
+                  6267, 6277, 6287}));
+    EXPECT_EQ(t.fills[1],
+              (std::vector<Cycle>{
+                  3014, 3014, 3015, 3016, 3016, 3017, 3018, 3018, 3019,
+                  3020, 3020, 3021, 3052, 3053, 3053, 3054, 3055, 3055,
+                  3056, 3057, 3057, 3058, 3059, 3059, 3059, 3071, 3081,
+                  3091, 3101, 3112, 3122, 3132, 3142, 3153, 3163, 3173,
+                  3183, 3194, 5214, 6111, 6162, 6244, 6265, 6275, 6285,
+                  6296, 6306, 6316, 6326}));
+    EXPECT_EQ(t.bothRefused, everyTenth(3204, 5204));
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(t.deferredFills[c], 201u);
+        EXPECT_EQ(t.forcedSpecEvictions[c], 201u);
+        EXPECT_EQ(t.forcedEvictions[c], 201u);
+        EXPECT_EQ(t.commits[c], 0u);
+        EXPECT_EQ(t.aborts[c], 1u);
+    }
+    EXPECT_EQ(t.doneAt, 6356u);
+}
+
 TEST(Quiesce, SpeculativeImplsReportQuiescedOnlyWhenClean)
 {
     auto sys = makeScripted({missThenWork(taddr(67), 5)},

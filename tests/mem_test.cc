@@ -148,6 +148,11 @@ TEST(CacheArray, VictimAvoidsPredicate)
         &forced);
     EXPECT_FALSE(forced);
     EXPECT_EQ(victim.blockAddr(), a);
+    forced = true;
+    EXPECT_EQ(c.findNonSpeculativeVictim(64ull * kBlockBytes, &forced)
+                  .blockAddr(),
+              a);
+    EXPECT_FALSE(forced);
 }
 
 TEST(CacheArray, ForcedWhenAllWaysAvoided)
@@ -160,11 +165,16 @@ TEST(CacheArray, ForcedWhenAllWaysAvoided)
         v.setSpecWritten(0);
     }
     bool forced = false;
-    c.findVictim(
+    const CacheArray::Line victim = c.findVictim(
         64ull * kBlockBytes,
         [](const CacheArray::Line& l) { return l.speculative(); },
         &forced);
     EXPECT_TRUE(forced);
+    // The inlined L1 variant picks the same LRU frame, also forced.
+    bool nforced = false;
+    EXPECT_EQ(c.findNonSpeculativeVictim(64ull * kBlockBytes, &nforced),
+              victim);
+    EXPECT_TRUE(nforced);
 }
 
 TEST(CacheArray, FlashClearSpecBits)
@@ -508,6 +518,9 @@ TEST_P(CacheArrayModel, MatchesNaiveScanOracle)
                 &forced);
             const int ov = oracle.findVictim(addr, true, &oforced);
             ASSERT_GE(ov, 0);
+            bool nforced = false;
+            ASSERT_EQ(fast.findNonSpeculativeVictim(addr, &nforced), v);
+            ASSERT_EQ(nforced, forced);
             OracleArray::Line& ol =
                 oracle.lines[static_cast<std::size_t>(ov)];
             ASSERT_EQ(v.handle().frame, static_cast<std::uint32_t>(ov));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -194,6 +195,366 @@ TEST(EventQueue, DrainEmptiesEverything)
     eq.drain();
     EXPECT_EQ(fired, 64);
     EXPECT_TRUE(eq.empty());
+}
+
+namespace {
+
+/**
+ * Harness for the retry-batching tests. Every attempt of retry `id`
+ * (RetryRecord::block) logs {tick, id, attempt}; delays[id][k] is what
+ * attempt k returns (past the end: 0, finished). An attempt may first
+ * spawn follow-ups listed in spawns[id] (its first attempt only): a
+ * retry or a plain logging event, either with a delay.
+ */
+struct RetryWorld
+{
+    struct Spawn
+    {
+        bool retry;
+        Cycle delay;
+        Addr id;
+    };
+
+    EventQueue eq;
+    std::vector<std::array<std::uint64_t, 3>> log;
+    std::vector<std::vector<Cycle>> delays;
+    std::vector<std::vector<Spawn>> spawns;
+
+    explicit RetryWorld(std::size_t ids) : delays(ids), spawns(ids) {}
+
+    static Cycle
+    attempt(void* owner, RetryRecord& rec)
+    {
+        auto* w = static_cast<RetryWorld*>(owner);
+        w->log.push_back({w->eq.now(), rec.block, rec.attempt});
+        if (rec.attempt == 0) {
+            for (const Spawn& sp : w->spawns[rec.block]) {
+                if (sp.retry)
+                    w->retry(sp.delay, sp.id);
+                else
+                    w->plain(sp.delay, sp.id);
+            }
+        }
+        const std::vector<Cycle>& d = w->delays[rec.block];
+        const Cycle again = rec.attempt < d.size() ? d[rec.attempt] : 0;
+        ++rec.attempt;
+        return again;
+    }
+
+    void
+    retry(Cycle delay, Addr id, std::uint32_t wake = kNoWakeNode)
+    {
+        eq.scheduleRetry(delay,
+                         RetryRecord{&attempt, this, id, {}, 0, wake});
+    }
+
+    void
+    plain(Cycle delay, Addr id)
+    {
+        eq.schedule(delay, [this, id]() {
+            log.push_back({eq.now(), id, 0});
+        });
+    }
+};
+
+using LogRow = std::array<std::uint64_t, 3>;
+
+} // namespace
+
+TEST(RetryBatch, RecordsRunInTheFifoOrderOfSeparateEvents)
+{
+    RetryWorld w(4);
+    w.delays[0] = {10, 10};   // three attempts
+    w.delays[2] = {5};        // two attempts, the second off-period
+    w.retry(10, 0);
+    w.retry(10, 1);
+    w.retry(10, 2);
+    w.plain(10, 3);           // scheduled after the batch: runs after
+    w.eq.drain();
+    EXPECT_EQ(w.log, (std::vector<LogRow>{{10, 0, 0},
+                                          {10, 1, 0},
+                                          {10, 2, 0},
+                                          {10, 3, 0},
+                                          {15, 2, 1},
+                                          {20, 0, 1},
+                                          {30, 0, 2}}));
+    // One node for the three first attempts, one for the plain event,
+    // and one each for the carried attempts at 15, 20 and 30.
+    EXPECT_EQ(w.eq.dispatchedNodes(), 5u);
+}
+
+TEST(RetryBatch, AnyInterveningScheduleOpensANewBatch)
+{
+    // Same tick: the plain event must run between the two retries.
+    RetryWorld w(3);
+    w.retry(10, 0);
+    w.plain(10, 1);
+    w.retry(10, 2);
+    w.eq.advanceTo(10);
+    EXPECT_EQ(w.log,
+              (std::vector<LogRow>{{10, 0, 0}, {10, 1, 0}, {10, 2, 0}}));
+    EXPECT_EQ(w.eq.dispatchedNodes(), 3u);
+
+    // Another tick: the order is unaffected, but the retries no longer
+    // share a node.
+    RetryWorld far(3);
+    far.retry(10, 0);
+    far.plain(500, 1);
+    far.retry(10, 2);
+    far.eq.advanceTo(10);
+    EXPECT_EQ(far.log, (std::vector<LogRow>{{10, 0, 0}, {10, 2, 0}}));
+    EXPECT_EQ(far.eq.dispatchedNodes(), 2u);
+
+    // Nothing in between: one node.
+    RetryWorld adj(2);
+    adj.retry(10, 0);
+    adj.retry(10, 1);
+    adj.eq.advanceTo(10);
+    EXPECT_EQ(adj.eq.dispatchedNodes(), 1u);
+}
+
+TEST(RetryBatch, SchedulesMadeWhileABatchRunsLandAfterIt)
+{
+    RetryWorld w(6);
+    // Attempt 0 of id 0 schedules a same-tick retry, a same-tick plain
+    // event, and a retry due with the carried ones; it is carried too.
+    w.delays[0] = {10};
+    w.delays[1] = {10};
+    w.spawns[0] = {{true, 0, 3}, {false, 0, 4}, {true, 10, 5}};
+    w.retry(10, 0);
+    w.retry(10, 1);
+    w.retry(10, 2);
+    w.eq.drain();
+    EXPECT_EQ(w.log, (std::vector<LogRow>{{10, 0, 0},
+                                          {10, 1, 0},
+                                          {10, 2, 0},
+                                          {10, 3, 0},
+                                          {10, 4, 0},
+                                          {20, 5, 0},
+                                          {20, 0, 1},
+                                          {20, 1, 1}}));
+}
+
+TEST(RetryBatch, OutsideRetryDuringACarryingRunKeepsItsPlace)
+{
+    // Every record of an n-record batch is carried; record k schedules
+    // another retry for the carried tick just before its own carry, so
+    // that retry must run between k-1 and k there. Sweeping n and k
+    // covers every position in and across the batch's storage.
+    for (Addr n = 1; n <= 40; ++n) {
+        for (Addr k = 0; k < n; ++k) {
+            RetryWorld w(n + 1);
+            for (Addr id = 0; id < n; ++id) {
+                w.delays[id] = {10};
+                w.retry(10, id);
+            }
+            w.spawns[k] = {{true, 10, n}};
+            w.eq.drain();
+            std::vector<LogRow> want;
+            for (Addr id = 0; id < n; ++id)
+                want.push_back({10, id, 0});
+            for (Addr id = 0; id < n; ++id) {
+                if (id == k)
+                    want.push_back({20, n, 0});
+                want.push_back({20, id, 1});
+            }
+            ASSERT_EQ(w.log, want) << "n=" << n << " k=" << k;
+        }
+    }
+}
+
+TEST(RetryBatch, CountersAdvanceOncePerRecord)
+{
+    RetryWorld w(3);
+    w.delays[1] = {10};
+    w.retry(10, 0);
+    w.retry(10, 1);
+    w.retry(10, 2);
+    EXPECT_EQ(w.eq.scheduledCount(), 3u);
+    EXPECT_EQ(w.eq.executedCount(), 0u);
+    w.eq.advanceTo(10);
+    EXPECT_EQ(w.eq.executedCount(), 3u);
+    EXPECT_EQ(w.eq.scheduledCount(), 4u);   // + the carried attempt
+    w.eq.advanceTo(20);
+    EXPECT_EQ(w.eq.executedCount(), 4u);
+    EXPECT_EQ(w.eq.scheduledCount(), 4u);
+    EXPECT_EQ(w.eq.dispatchedNodes(), 2u);
+}
+
+TEST(RetryBatch, WakeHookFiresOncePerRecordWithNodeAndTick)
+{
+    RetryWorld w(3);
+    std::vector<std::pair<std::uint32_t, Cycle>> wakes;
+    w.eq.setWakeHook(
+        [](void* ctx, std::uint32_t node, Cycle when) {
+            static_cast<std::vector<std::pair<std::uint32_t, Cycle>>*>(ctx)
+                ->emplace_back(node, when);
+        },
+        &wakes);
+    w.delays[0] = {10};
+    w.retry(10, 0, 1);
+    w.retry(10, 1);   // untagged: no wake
+    w.retry(10, 2, 2);
+    w.eq.drain();
+    EXPECT_EQ(wakes, (std::vector<std::pair<std::uint32_t, Cycle>>{
+                         {1, 10}, {2, 10}, {1, 20}}));
+}
+
+TEST(RetryBatch, SizeEmptyAndNextEventTickStayConsistent)
+{
+    // Observed from inside each attempt, the queue must look exactly
+    // as it would with one event per record.
+    struct Probe
+    {
+        EventQueue eq;
+        std::vector<std::array<std::uint64_t, 3>> seen;   // size, empty, next
+
+        static Cycle
+        attempt(void* owner, RetryRecord& rec)
+        {
+            auto* p = static_cast<Probe*>(owner);
+            p->seen.push_back({p->eq.size(), p->eq.empty() ? 1u : 0u,
+                               p->eq.empty() ? 0 : p->eq.nextEventTick()});
+            return rec.block == 2 && rec.attempt++ == 0 ? 10 : 0;
+        }
+    } p;
+    for (Addr id = 0; id < 3; ++id)
+        p.eq.scheduleRetry(10, RetryRecord{&Probe::attempt, &p, id, {}, 0,
+                                           kNoWakeNode});
+    EXPECT_EQ(p.eq.size(), 3u);
+    EXPECT_EQ(p.eq.nextEventTick(), 10u);
+    p.eq.advanceTo(10);
+    EXPECT_EQ(p.seen, (std::vector<std::array<std::uint64_t, 3>>{
+                          {2, 0, 10}, {1, 0, 10}, {0, 1, 0}}));
+    EXPECT_EQ(p.eq.size(), 1u);
+    EXPECT_FALSE(p.eq.empty());
+    EXPECT_EQ(p.eq.nextEventTick(), 20u);
+    p.eq.advanceTo(20);
+    EXPECT_TRUE(p.eq.empty());
+    EXPECT_EQ(p.seen.back(), (std::array<std::uint64_t, 3>{0, 1, 0}));
+}
+
+TEST(RetryBatch, RandomRetryMixMatchesSeparateEvents)
+{
+    // Differential check: the same seeded mix of retries, carried
+    // attempts, mid-batch spawns and plain events, once through
+    // scheduleRetry and once as one plain event per attempt, must
+    // produce the same log, wakes and counters at every tick. Each
+    // attempt also logs the queue's size and next tick as it sees them.
+    struct Sim
+    {
+        EventQueue eq;
+        bool batched;
+        std::vector<std::array<std::uint64_t, 5>> log;
+        std::vector<std::pair<std::uint32_t, Cycle>> wakes;
+        Addr nextId = 0;
+
+        explicit Sim(bool b) : batched(b)
+        {
+            eq.setWakeHook(
+                [](void* ctx, std::uint32_t node, Cycle when) {
+                    static_cast<Sim*>(ctx)->wakes.emplace_back(node, when);
+                },
+                this);
+        }
+
+        static std::uint64_t
+        mix(Addr id, std::uint32_t attempt)
+        {
+            std::uint64_t x = id * 0x9e3779b97f4a7c15ull + attempt + 1;
+            x ^= x >> 31;
+            x *= 0xbf58476d1ce4e5b9ull;
+            return x ^ (x >> 29);
+        }
+
+        /** One attempt's body; returns its delay (0 = finished). */
+        Cycle
+        body(Addr id, std::uint32_t attempt)
+        {
+            log.push_back({eq.now(), id, attempt, eq.size(),
+                           eq.empty() ? 0 : eq.nextEventTick()});
+            const std::uint64_t h = mix(id, attempt);
+            if (h % 23 == 0) {
+                start(h % 3 == 0 ? h % 13 : 10,
+                      static_cast<std::uint32_t>(h % 5));
+            }
+            if (h % 19 == 0) {
+                const Addr pid = nextId++;
+                eq.schedule(h % 11, [this, pid]() {
+                    log.push_back({eq.now(), pid, 99, eq.size(), 0});
+                });
+            }
+            const std::uint64_t r = (h >> 8) % 100;
+            if (r < 12)
+                return 0;
+            if (r < 20)
+                return 1 + (h >> 16) % 12;
+            return 10;
+        }
+
+        static Cycle
+        thunk(void* owner, RetryRecord& rec)
+        {
+            const Cycle again =
+                static_cast<Sim*>(owner)->body(rec.block, rec.attempt);
+            ++rec.attempt;
+            return again;
+        }
+
+        void
+        plainAttempt(Cycle delay, Addr id, std::uint32_t attempt,
+                     std::uint32_t wake)
+        {
+            eq.schedule(delay, [this, id, attempt, wake]() {
+                const Cycle again = body(id, attempt);
+                if (again != 0)
+                    plainAttempt(again, id, attempt + 1, wake);
+            }, wake);
+        }
+
+        void
+        start(Cycle delay, std::uint32_t wake)
+        {
+            const Addr id = nextId++;
+            const std::uint32_t node = wake < 4 ? wake : kNoWakeNode;
+            if (batched) {
+                eq.scheduleRetry(delay, RetryRecord{&thunk, this, id, {},
+                                                    0, node});
+            } else {
+                plainAttempt(delay, id, 0, node);
+            }
+        }
+    };
+
+    Sim batched(true), plain(false);
+    Rng rng(2024);
+    std::size_t checked = 0;
+    for (Cycle t = 1; t <= 3000; ++t) {
+        const std::uint64_t starts = rng.below(8);
+        for (std::uint64_t k = 0; k < starts; ++k) {
+            const Cycle delay = rng.below(3) == 0 ? rng.below(15) : 10;
+            const auto wake = static_cast<std::uint32_t>(rng.below(5));
+            batched.start(delay, wake);
+            plain.start(delay, wake);
+        }
+        batched.eq.advanceTo(t);
+        plain.eq.advanceTo(t);
+        ASSERT_EQ(batched.log.size(), plain.log.size()) << "tick " << t;
+        for (; checked < plain.log.size(); ++checked)
+            ASSERT_EQ(batched.log[checked], plain.log[checked]) << "tick " << t;
+        ASSERT_EQ(batched.eq.scheduledCount(), plain.eq.scheduledCount());
+        ASSERT_EQ(batched.eq.executedCount(), plain.eq.executedCount());
+        ASSERT_EQ(batched.eq.size(), plain.eq.size());
+        if (!plain.eq.empty()) {
+            ASSERT_EQ(batched.eq.nextEventTick(),
+                      plain.eq.nextEventTick());
+        }
+    }
+    EXPECT_EQ(batched.wakes, plain.wakes);
+    EXPECT_GT(batched.log.size(), 10000u);
+    // The point of batching: far fewer queue nodes for the same work.
+    EXPECT_LT(batched.eq.dispatchedNodes() * 2,
+              plain.eq.dispatchedNodes());
 }
 
 TEST(Rng, DeterministicForSeed)
