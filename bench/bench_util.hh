@@ -50,7 +50,7 @@ maybeWriteJson(const std::vector<SweepStats>& stats, const RunConfig& cfg,
                  path.c_str());
     // Schema 1 keeps the committed goldens byte-identical; a run with
     // fault injection armed emits revision 3 so the fault-tolerance
-    // counters (retries / drops_recovered / ...) are visible.
+    // counters (retries / drops_injected / ...) are visible.
     const bool faulty = cfg.system.fault.any() ||
                         cfg.system.agent.retryTimeout != 0;
     writeSweepJson(os, stats, cfg, seeds, faulty ? 3u : 1u);

@@ -18,16 +18,16 @@
 #                      fault matrix, the planted-deadlock/watchdog
 #                      fixtures, and an env-knob smoke run (retries
 #                      under drops must still finish the quickstart)
-#   ./ci.sh perfsmoke  event-queue microbench + bench_wallclock at a
-#                      small budget, failing if kcps_fastfwd regresses
-#                      >25% against the committed BENCH_wallclock.json
-#                      (tolerance sized for a noisy 1-CPU box); prints a
-#                      per-point kcps delta table + geomean, not just
-#                      pass/fail
 #   ./ci.sh bench      ifbench smoke (benchmark/run.sh --smoke): 8
 #                      figure points from the self-contained Release
 #                      benchmark build, failing on any outcome-digest
-#                      mismatch against benchmark/expected_digests.json
+#                      mismatch against benchmark/expected_digests.json;
+#                      then every BENCHMARK.json workload for 10 s on
+#                      the reference commit (merge-base with main, or
+#                      HEAD~1 on main) and on this checkout, alternating
+#                      on this host, failing when this checkout's kcps
+#                      is below 0.75x the reference's or any run
+#                      reports "correct": false
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -138,27 +138,43 @@ run_tidy() {
     clang-tidy -p build-release --warnings-as-errors='*' $files
 }
 
-run_perfsmoke() {
-    echo "== Perf smoke: event-queue microbench + wall-clock check =="
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build build-release -j "$JOBS" \
-        --target bench_eventqueue bench_wallclock
-    ./build-release/bench/bench_eventqueue 500000
-    # Small budget: BENCH_CYCLES=24000 means a 24k-cycle measure window
-    # plus a 4k warmup (RunConfig::fromEnv uses measure/6), 28k total vs
-    # the committed JSON's 62k. kcycles/second is budget-independent to
-    # first order, and a 25% regression gate absorbs both that and this
-    # box's scheduling noise. ASOsc is excluded: its ~93%-dormant runs
-    # amortize very differently at small budgets, so its small-budget
-    # kcps is not comparable.
-    INVISIFENCE_BENCH_CYCLES=24000 ./build-release/bench/bench_wallclock \
-        --config bench --against BENCH_wallclock.json --min-ratio 0.75 \
-        --skip-check-impl ASOsc
-}
-
 run_bench() {
     echo "== ifbench smoke: figure-point outcome digests =="
     bash benchmark/run.sh --smoke
+
+    echo "== ifbench: kcps against the reference commit, same host =="
+    local ref
+    if [ "$(git rev-parse --abbrev-ref HEAD)" = main ]; then
+        ref=$(git rev-parse HEAD~1)
+    else
+        ref=$(git merge-base HEAD main)
+    fi
+    local refdir
+    refdir=$(mktemp -d)
+    # shellcheck disable=SC2064
+    trap "git worktree remove --force '$refdir'" EXIT
+    git worktree add --detach "$refdir" "$ref" >/dev/null
+    local workloads w ref_out head_out
+    workloads=$(python3 -c 'import json; print(" ".join(
+        w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+    for w in $workloads; do
+        # The last stdout line of a workload run is its JSON result.
+        ref_out=$(bash "$refdir/benchmark/run.sh" --workload "$w" \
+            --seed 1 --seconds 10 --trace 0 | tail -n 1)
+        head_out=$(bash benchmark/run.sh --workload "$w" \
+            --seed 1 --seconds 10 --trace 0 | tail -n 1)
+        python3 - "$w" "$ref_out" "$head_out" <<'PY'
+import json, sys
+name, ref, head = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+r = ref["metrics"]["kcps"]["value"]
+h = head["metrics"]["kcps"]["value"]
+ok = ref["correct"] and head["correct"] and h >= 0.75 * r
+print(f"  {name:20} ref {r:10.1f}  head {h:10.1f} kcyc/s  "
+      f"x{h / r:.2f}  correct {ref['correct']}/{head['correct']}  "
+      f"{'ok' if ok else 'FAIL'}")
+sys.exit(0 if ok else 1)
+PY
+    done
 }
 
 run_format() {
@@ -184,11 +200,10 @@ case "$STAGE" in
   tsan)      run_tsan ;;
   tidy)      run_tidy ;;
   format)    run_format ;;
-  perfsmoke) run_perfsmoke ;;
   bench)     run_bench ;;
   all)       run_format; run_tidy; run_lint; run_release; run_asan
-             run_faults; run_tsan; run_perfsmoke; run_bench ;;
-  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|perfsmoke|bench]" >&2
+             run_faults; run_tsan; run_bench ;;
+  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|bench]" >&2
      exit 2 ;;
 esac
 echo "ci.sh: $STAGE OK"

@@ -746,8 +746,8 @@ CacheAgent::registerStats(StatRegistry& reg,
     reg.registerStat(prefix + ".retries", &statRetries);
     reg.registerStat(prefix + ".orphan_wb_acks", &statOrphanWbAcks);
     reg.registerStat(prefix + ".wb_abandoned", &statWbAbandoned);
-    reg.registerStat(prefix + ".retry_backoff_max",
-                     &statRetryBackoffMax);
+    reg.registerStat(prefix + ".retry_backoff_max", &statRetryBackoffMax,
+                     StatRegistry::Kind::HighWater);
 }
 
 CacheArray::Line

@@ -989,6 +989,17 @@ SpeculativeImpl::registerStats(StatRegistry& reg,
     reg.registerStat(prefix + ".cov_timeouts", &statCovTimeouts);
     reg.registerStat(prefix + ".forced_evictions", &statForcedEvictions);
     reg.registerStat(prefix + ".cleanings", &statCleanings);
+    // Cycles pending in each slot (reset to Ckpt{} on commit or abort):
+    // with the core's ".cycles.*" they account every elapsed cycle.
+    for (std::uint32_t c = 0; c < cfg_.numCheckpoints; ++c) {
+        const std::string slot = prefix + ".ckpt" + std::to_string(c);
+        const Breakdown& b = ckpts_[c].pendingAcct;
+        reg.registerStat(slot + ".cycles.busy", &b.busy);
+        reg.registerStat(slot + ".cycles.other", &b.other);
+        reg.registerStat(slot + ".cycles.sb_full", &b.sbFull);
+        reg.registerStat(slot + ".cycles.sb_drain", &b.sbDrain);
+        reg.registerStat(slot + ".cycles.violation", &b.violation);
+    }
 }
 
 } // namespace invisifence

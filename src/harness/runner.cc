@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "core/invisifence.hh"
 #include "sim/log.hh"
 #include "workload/synthetic.hh"
 
@@ -150,70 +149,46 @@ RunConfig::fromEnv()
 
 namespace {
 
-std::uint64_t
-clampedDelta(std::uint64_t after, std::uint64_t before)
-{
-    // Aborts reclassify in-flight cycles as Violation, so a category can
-    // shrink slightly across the window; clamp instead of wrapping.
-    return after >= before ? after - before : 0;
-}
+using R = RunResult;
+using B = Breakdown;
 
-Breakdown
-minus(const Breakdown& a, const Breakdown& b)
-{
-    Breakdown d;
-    d.busy = clampedDelta(a.busy, b.busy);
-    d.other = clampedDelta(a.other, b.other);
-    d.sbFull = clampedDelta(a.sbFull, b.sbFull);
-    d.sbDrain = clampedDelta(a.sbDrain, b.sbDrain);
-    d.violation = clampedDelta(a.violation, b.violation);
-    return d;
-}
-
-struct Counters
-{
-    std::uint64_t retired = 0;
-    std::uint64_t abortedRetired = 0;
-    std::uint64_t coreCycles = 0;
-    Breakdown breakdown{};
-    std::uint64_t speculating = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t mshrFullStalls = 0;
-    std::uint64_t dirStaleWritebacks = 0;
-    std::uint64_t dirQueuedRequests = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t dropsInjected = 0;
-    std::uint64_t dupsSquashed = 0;
-    std::uint64_t retryBackoffMax = 0;
+/** The table behind runFields(): {JSON key, registry pattern, first
+ *  schema revision, RunResult field or breakdown category}. Top-level
+ *  counters come in JSON key order (v1, v2, v3), then the breakdown,
+ *  whose patterns also match the cycles still pending in checkpoint
+ *  slots ("coreN.spec.ckptK.cycles.<category>"). */
+constexpr RunField kRunFields[] = {
+    {"retired", nullptr, 1, &R::retired},
+    {"core_cycles", "core*.cycles", 1, &R::coreCycles},
+    {"speculating_cycles", "core*.spec.cycles_speculating", 1,
+     &R::speculatingCycles},
+    {"aborts", "core*.spec.aborts", 1, &R::aborts},
+    {"commits", "core*.spec.commits", 1, &R::commits},
+    {"mshr_full_stalls", "core*.agent.mshr.full_stalls", 2,
+     &R::mshrFullStalls},
+    {"dir_stale_writebacks", "core*.dir.stale_writebacks", 2,
+     &R::dirStaleWritebacks},
+    {"dir_queued_requests", "core*.dir.queued_requests", 2,
+     &R::dirQueuedRequests},
+    {"retries", "core*.agent.retries", 3, &R::retries},
+    {"drops_injected", "system.fault.drops", 3, &R::dropsInjected},
+    {"dups_squashed", "core*.dir.dups_squashed", 3, &R::dupsSquashed},
+    {"timeout_backoff_max", "core*.agent.retry_backoff_max", 3,
+     &R::timeoutBackoffMax},
+    {"busy", "core*.cycles.busy", 1, nullptr, &B::busy},
+    {"other", "core*.cycles.other", 1, nullptr, &B::other},
+    {"sb_full", "core*.cycles.sb_full", 1, nullptr, &B::sbFull},
+    {"sb_drain", "core*.cycles.sb_drain", 1, nullptr, &B::sbDrain},
+    {"violation", "core*.cycles.violation", 1, nullptr, &B::violation},
 };
 
-Counters
-sample(System& sys)
-{
-    Counters c;
-    c.retired = sys.totalRetired();
-    c.coreCycles = sys.totalCoreCycles();
-    c.breakdown = sys.totalBreakdown();
-    c.speculating = sys.totalSpeculatingCycles();
-    c.mshrFullStalls = sys.totalMshrFullStalls();
-    c.dirStaleWritebacks = sys.totalDirStaleWritebacks();
-    c.dirQueuedRequests = sys.totalDirQueuedRequests();
-    c.retries = sys.totalRetries();
-    c.dropsInjected = sys.totalDropsInjected();
-    c.dupsSquashed = sys.totalDupsSquashed();
-    c.retryBackoffMax = sys.maxRetryBackoff();
-    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
-        if (auto* spec = dynamic_cast<SpeculativeImpl*>(&sys.impl(i))) {
-            c.aborts += spec->statAborts;
-            c.commits += spec->statCommits;
-            c.abortedRetired += spec->statAbortedRetired;
-        }
-    }
-    return c;
-}
-
 } // namespace
+
+std::span<const RunField>
+runFields()
+{
+    return kRunFields;
+}
 
 SharerSet
 warmSharerMask(Addr block, std::uint32_t num_nodes, double sharer_fraction)
@@ -315,45 +290,34 @@ runExperiment(const Workload& workload, ImplKind kind,
     if (cfg.warmStart)
         warmSystem(sys, workload.params, benchEnv().warmSharers);
 
+    const StatRegistry& reg = sys.stats();
     sys.run(cfg.warmupCycles);
-    const Counters before = sample(sys);
+    const StatRegistry::Snapshot before = reg.snapshot();
     sys.run(cfg.measureCycles);
-    const Counters after = sample(sys);
+    const StatRegistry::Snapshot after = reg.snapshot();
 
     RunResult r;
     r.workload = workload.name;
     r.impl = implKindName(kind);
     r.seed = cfg.seed;
+    for (const RunField& f : runFields()) {
+        if (f.stat)
+            f.of(r) = reg.window(before, after, f.stat);
+    }
     // Committed instructions only: retirements discarded by an abort are
     // re-executed and would otherwise be double counted. Clamp: an abort
     // right after the sample can discard work retired before it.
-    const std::uint64_t committed_after =
-        after.retired >= after.abortedRetired
-            ? after.retired - after.abortedRetired
-            : 0;
-    const std::uint64_t committed_before =
-        before.retired >= before.abortedRetired
-            ? before.retired - before.abortedRetired
-            : 0;
+    const auto committed = [&reg](const StatRegistry::Snapshot& s) {
+        const std::uint64_t retired = reg.aggregate(s, "core*.retired");
+        const std::uint64_t aborted =
+            reg.aggregate(s, "core*.spec.aborted_retired");
+        return retired >= aborted ? retired - aborted : 0;
+    };
+    const std::uint64_t committed_before = committed(before);
+    const std::uint64_t committed_after = committed(after);
     r.retired = committed_after >= committed_before
                     ? committed_after - committed_before
                     : 0;
-    r.coreCycles = after.coreCycles - before.coreCycles;
-    r.breakdown = minus(after.breakdown, before.breakdown);
-    r.speculatingCycles = after.speculating - before.speculating;
-    r.aborts = after.aborts - before.aborts;
-    r.commits = after.commits - before.commits;
-    r.mshrFullStalls = after.mshrFullStalls - before.mshrFullStalls;
-    r.dirStaleWritebacks =
-        after.dirStaleWritebacks - before.dirStaleWritebacks;
-    r.dirQueuedRequests =
-        after.dirQueuedRequests - before.dirQueuedRequests;
-    r.retries = after.retries - before.retries;
-    r.dropsRecovered = after.dropsInjected - before.dropsInjected;
-    r.dupsSquashed = after.dupsSquashed - before.dupsSquashed;
-    // A high-water mark, not a rate: report the absolute maximum the
-    // run ever reached rather than a meaningless window difference.
-    r.timeoutBackoffMax = after.retryBackoffMax;
     return r;
 }
 

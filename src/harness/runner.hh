@@ -16,6 +16,7 @@
 #define INVISIFENCE_HARNESS_RUNNER_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,7 +117,11 @@ void warmSystem(System& sys, const SyntheticParams& params,
 SharerSet warmSharerMask(Addr block, std::uint32_t num_nodes,
                          double sharer_fraction);
 
-/** Result of one measured run. */
+/**
+ * Result of one measured run. Every counter is listed in runFields(),
+ * which is how runExperiment() fills it, how the sweep JSON emits it,
+ * and how tests compare two results.
+ */
 struct RunResult
 {
     std::string workload;
@@ -137,13 +142,13 @@ struct RunResult
     std::uint64_t dirQueuedRequests = 0;
     /** @} */
     /** @{ Fault-tolerance accounting (JSON schema v3; all zero in
-     *  clean runs): request retransmissions taken, injected request
-     *  drops (each recovered by a retry in a run that completes),
-     *  duplicate requests the directory's dedup record squashed, and
-     *  the largest retry-backoff interval any agent reached — a
-     *  high-water mark sampled after the window, not a delta. */
+     *  clean runs): request retransmissions taken, request drops the
+     *  fault plan injected, duplicate requests the directory's dedup
+     *  record squashed, and the largest retry-backoff interval any
+     *  agent reached — a high-water mark read at window end, not a
+     *  delta. */
     std::uint64_t retries = 0;
-    std::uint64_t dropsRecovered = 0;
+    std::uint64_t dropsInjected = 0;
     std::uint64_t dupsSquashed = 0;
     std::uint64_t timeoutBackoffMax = 0;
     /** @} */
@@ -165,6 +170,35 @@ struct RunResult
                          static_cast<double>(coreCycles);
     }
 };
+
+/**
+ * One RunResult counter: its JSON key, where it lives in RunResult
+ * (a top-level @c field, or a @c category of the nested breakdown),
+ * the StatRegistry pattern it is the window value of, and the first
+ * sweep-JSON schema revision that emits it. @c stat is null for the
+ * one derived counter, retired (committed instructions), which
+ * runExperiment() computes from two registry patterns.
+ */
+struct RunField
+{
+    const char* key;
+    const char* stat;
+    std::uint32_t since;
+    std::uint64_t RunResult::*field = nullptr;
+    std::uint64_t Breakdown::*category = nullptr;
+
+    std::uint64_t& of(RunResult& r) const
+    {
+        return field ? r.*field : r.breakdown.*category;
+    }
+    std::uint64_t of(const RunResult& r) const
+    {
+        return field ? r.*field : r.breakdown.*category;
+    }
+};
+
+/** Every RunResult counter, in sweep-JSON key order. */
+std::span<const RunField> runFields();
 
 /** Run @p workload under @p kind and measure. */
 RunResult runExperiment(const Workload& workload, ImplKind kind,

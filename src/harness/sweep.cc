@@ -180,26 +180,19 @@ writeEstimate(std::ostream& os, const Estimate& e)
 void
 writeRun(std::ostream& os, const RunResult& r, std::uint32_t schema)
 {
-    os << "{\"seed\": " << r.seed << ", \"retired\": " << r.retired
-       << ", \"core_cycles\": " << r.coreCycles
-       << ", \"speculating_cycles\": " << r.speculatingCycles
-       << ", \"aborts\": " << r.aborts << ", \"commits\": " << r.commits;
-    if (schema >= 2) {
-        os << ", \"mshr_full_stalls\": " << r.mshrFullStalls
-           << ", \"dir_stale_writebacks\": " << r.dirStaleWritebacks
-           << ", \"dir_queued_requests\": " << r.dirQueuedRequests;
+    os << "{\"seed\": " << r.seed;
+    for (const RunField& f : runFields()) {
+        if (f.field && schema >= f.since)
+            os << ", \"" << f.key << "\": " << f.of(r);
     }
-    if (schema >= 3) {
-        os << ", \"retries\": " << r.retries
-           << ", \"drops_recovered\": " << r.dropsRecovered
-           << ", \"dups_squashed\": " << r.dupsSquashed
-           << ", \"timeout_backoff_max\": " << r.timeoutBackoffMax;
+    const char* sep = ", \"breakdown\": {";
+    for (const RunField& f : runFields()) {
+        if (f.category && schema >= f.since) {
+            os << sep << "\"" << f.key << "\": " << f.of(r);
+            sep = ", ";
+        }
     }
-    os << ", \"breakdown\": {\"busy\": " << r.breakdown.busy
-       << ", \"other\": " << r.breakdown.other
-       << ", \"sb_full\": " << r.breakdown.sbFull
-       << ", \"sb_drain\": " << r.breakdown.sbDrain
-       << ", \"violation\": " << r.breakdown.violation << "}}";
+    os << "}}";
 }
 
 } // namespace

@@ -177,14 +177,17 @@ class SweepRunner
  * configuration and, per point, the raw per-seed counters plus
  * throughput/spec-fraction estimates. Output is deterministic for a
  * fixed grid and seed (goldens diff byte-for-byte). @p schema selects
- * the emitted revision: 1 ("invisifence-sweep-v1", the default — keeps
- * committed goldens byte-identical), 2, which adds the per-run
- * mshr_full_stalls / dir_stale_writebacks / dir_queued_requests
- * counters plus the machine topology (dim_x / dim_y / dir_hash) in the
- * config object, or 3, which further adds the fault-tolerance counters
- * (retries / drops_recovered / dups_squashed / timeout_backoff_max; the
- * v2 golden fig_scale64_small.json is byte-frozen, so the new fields
- * ride a new revision).
+ * the emitted revision, "invisifence-sweep-v<schema>". Each run's
+ * counters come from the runFields() table, in table order: a row is
+ * emitted when @p schema >= its first revision, top-level rows after
+ * "seed", breakdown rows inside the nested "breakdown" object. So
+ * revision 1 (the default, the committed fig0809 golden) carries the
+ * figure counters; 2 (the committed 64-core golden) adds
+ * mshr_full_stalls / dir_stale_writebacks / dir_queued_requests, plus
+ * the machine topology (dim_x / dim_y / dir_hash) in the config object;
+ * 3 adds the fault-tolerance counters retries / drops_injected /
+ * dups_squashed / timeout_backoff_max. (drops_injected was named
+ * drops_recovered before; no committed artifact carried it.)
  */
 void writeSweepJson(std::ostream& os, const std::vector<SweepStats>& stats,
                     const RunConfig& base, std::uint32_t numSeeds,

@@ -550,37 +550,4 @@ System::totalDirQueuedRequests() const
     return n;
 }
 
-std::uint64_t
-System::totalRetries() const
-{
-    std::uint64_t n = 0;
-    for (const auto& agent : agents_)
-        n += agent->statRetries;
-    return n;
-}
-
-std::uint64_t
-System::totalDropsInjected() const
-{
-    return faults_ ? faults_->statDrops : 0;
-}
-
-std::uint64_t
-System::totalDupsSquashed() const
-{
-    std::uint64_t n = 0;
-    for (const auto& dir : dirs_)
-        n += dir->statDupsSquashed;
-    return n;
-}
-
-std::uint64_t
-System::maxRetryBackoff() const
-{
-    std::uint64_t n = 0;
-    for (const auto& agent : agents_)
-        n = std::max(n, agent->statRetryBackoffMax);
-    return n;
-}
-
 } // namespace invisifence

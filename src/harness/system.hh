@@ -147,6 +147,8 @@ class System
     /** Block-to-home placement shared by every agent and slice. */
     const HomeMap& homeMap() const { return homeMap_; }
 
+    // Direct summers for the watchdog and the benchmark's stat adapter.
+    // RunResult reads the same counters through stats() (runFields()).
     /** Sum of all cores' cycle breakdowns. */
     Breakdown totalBreakdown() const;
     /** Total retired instructions across cores. */
@@ -159,15 +161,6 @@ class System
     std::uint64_t totalMshrFullStalls() const;
     std::uint64_t totalDirStaleWritebacks() const;
     std::uint64_t totalDirQueuedRequests() const;
-    /** @} */
-    /** @{ Fault-tolerance totals (JSON v3): request retransmissions,
-     *  injected request drops (each one recovered by a retry in a run
-     *  that completes), duplicate requests the directory squashed, and
-     *  the largest backoff interval any agent reached. */
-    std::uint64_t totalRetries() const;
-    std::uint64_t totalDropsInjected() const;
-    std::uint64_t totalDupsSquashed() const;
-    std::uint64_t maxRetryBackoff() const;
     /** @} */
 
   private:

@@ -2,9 +2,10 @@
  * @file
  * Lightweight statistics registry.
  *
- * Components own plain uint64_t/double members and register them by name;
- * the harness walks the registry to print per-run statistics and to build
- * the paper's tables.
+ * Components own plain uint64_t members and register them by name; the
+ * harness reads the registry at the edges of a measured window and
+ * derives every reported counter from the two readings (runFields() in
+ * harness/runner.hh).
  */
 
 #ifndef INVISIFENCE_SIM_STATS_HH
@@ -12,57 +13,77 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace invisifence {
 
 /**
- * Registry of named scalar statistics.
+ * Registry of named uint64_t statistics.
  *
- * Registration stores a pointer to the component-owned counter; reading the
- * registry always reflects current values. Names are hierarchical by
- * convention, e.g. "core03.cycles.sb_drain".
+ * Registration stores a pointer to the component-owned counter; reading
+ * the registry always reflects current values. Names are hierarchical
+ * by convention, e.g. "core3.cycles.sb_drain". Aggregating lookups take
+ * a pattern "prefix*suffix" matching every name with that prefix and
+ * suffix; a pattern without '*' matches one exact name.
  */
 class StatRegistry
 {
   public:
-    void registerStat(const std::string& name, const std::uint64_t* value);
-    void registerStat(const std::string& name, const double* value);
+    /** How a stat behaves across nodes and across a window. */
+    enum class Kind : std::uint8_t
+    {
+        /** Nodes sum; the window value is after - before, clamped at 0
+         *  (an abort can reclassify in-flight breakdown cycles, so a
+         *  category may shrink slightly). */
+        Counter,
+        /** Nodes take the max; the window value is the reading at
+         *  window end. */
+        HighWater,
+    };
+
+    /** One reading of every stat, in name order. */
+    using Snapshot = std::vector<std::uint64_t>;
+
+    void registerStat(const std::string& name, const std::uint64_t* value,
+                      Kind kind = Kind::Counter);
 
     /**
-     * Look up one stat by exact name. An unregistered name is fatal: a
-     * typo in table/bench code must not silently fabricate a zero
-     * statistic. Use tryGet() when absence is an expected outcome.
+     * One stat by exact name. An unregistered name is fatal: a typo
+     * must not silently fabricate a zero statistic.
      */
-    double get(const std::string& name) const;
+    std::uint64_t get(const std::string& name) const;
 
-    /** Exact-name lookup that reports absence instead of dying. */
-    std::optional<double> tryGet(const std::string& name) const;
+    /** Read every stat now. */
+    Snapshot snapshot() const;
 
-    /** True when a stat of this exact name is registered. */
-    bool has(const std::string& name) const;
+    /**
+     * Node aggregate (see Kind) of the stats matching @p pattern in
+     * @p snap. No match reads 0: some stats, e.g. "system.fault.*",
+     * exist only in some systems. A pattern matching both kinds is
+     * fatal.
+     */
+    std::uint64_t aggregate(const Snapshot& snap,
+                            std::string_view pattern) const;
 
-    /** Sum of all stats whose name matches prefix*suffix. */
-    double sumMatching(const std::string& prefix,
-                       const std::string& suffix) const;
+    /** aggregate() over the current values. */
+    std::uint64_t aggregate(std::string_view pattern) const;
 
-    /** All (name, value) pairs in name order. */
-    std::vector<std::pair<std::string, double>> snapshot() const;
-
-    /** Dump "name value" lines. */
-    void dump(std::ostream& os) const;
+    /** Window value (see Kind) of @p pattern between two snapshots. */
+    std::uint64_t window(const Snapshot& before, const Snapshot& after,
+                         std::string_view pattern) const;
 
   private:
     struct Entry
     {
-        const std::uint64_t* u64 = nullptr;
-        const double* f64 = nullptr;
+        const std::uint64_t* value = nullptr;
+        Kind kind = Kind::Counter;
     };
 
-    double value(const Entry& e) const;
+    /** aggregate(), also reporting the matched kind. */
+    std::uint64_t aggregate(const Snapshot& snap, std::string_view pattern,
+                            Kind& kind) const;
 
     std::map<std::string, Entry> stats_;
 };

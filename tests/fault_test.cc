@@ -153,9 +153,9 @@ TEST(FaultInjection, OneShotDropIsRecoveredByRetry)
     auto sys =
         makeScripted(tokenScripts(), ImplKind::ConvSC, faultParams(plan));
     ASSERT_TRUE(sys->runUntilDone(3'000'000));
-    EXPECT_EQ(sys->totalDropsInjected(), 1u);
-    EXPECT_GE(sys->totalRetries(), 1u);
-    EXPECT_GE(sys->maxRetryBackoff(), 1u);
+    EXPECT_EQ(sys->stats().aggregate("system.fault.drops"), 1u);
+    EXPECT_GE(sys->stats().aggregate("core*.agent.retries"), 1u);
+    EXPECT_GE(sys->stats().aggregate("core*.agent.retry_backoff_max"), 1u);
     expectTokenOutcome(*sys);
 }
 
@@ -170,7 +170,7 @@ TEST(FaultInjection, OneShotDuplicateIsSquashedByDirectory)
     auto sys = makeScripted(tokenScripts(), ImplKind::InvisiTSO,
                             faultParams(plan));
     ASSERT_TRUE(sys->runUntilDone(3'000'000));
-    EXPECT_EQ(sys->totalDupsSquashed(), 1u);
+    EXPECT_EQ(sys->stats().aggregate("core*.dir.dups_squashed"), 1u);
     expectTokenOutcome(*sys);
 }
 
@@ -181,7 +181,7 @@ TEST(FaultInjection, OneShotDelayPerturbsOnlyTiming)
     auto sys = makeScripted(tokenScripts(), ImplKind::Continuous,
                             faultParams(plan));
     ASSERT_TRUE(sys->runUntilDone(3'000'000));
-    EXPECT_EQ(sys->totalDropsInjected(), 0u);
+    EXPECT_EQ(sys->stats().aggregate("system.fault.drops"), 0u);
     expectTokenOutcome(*sys);
 }
 
@@ -206,12 +206,12 @@ TEST(FaultDeterminism, SameSeedReproducesTheExactFaultSequence)
     auto b = run();
     EXPECT_EQ(a->now(), b->now());
     EXPECT_EQ(a->totalRetired(), b->totalRetired());
-    EXPECT_EQ(a->totalRetries(), b->totalRetries());
-    EXPECT_EQ(a->totalDropsInjected(), b->totalDropsInjected());
-    EXPECT_EQ(a->totalDupsSquashed(), b->totalDupsSquashed());
-    EXPECT_EQ(a->maxRetryBackoff(), b->maxRetryBackoff());
+    // Every registered stat, fault counters included, matches.
+    EXPECT_EQ(a->stats().snapshot(), b->stats().snapshot());
     // The plan actually did something, or the test proves nothing.
-    EXPECT_GT(a->totalDropsInjected() + a->totalDupsSquashed(), 0u);
+    EXPECT_GT(a->stats().aggregate("system.fault.drops") +
+                  a->stats().aggregate("core*.dir.dups_squashed"),
+              0u);
 }
 
 namespace {

@@ -624,12 +624,7 @@ TEST(Stats, RegisterAndRead)
     std::uint64_t counter = 41;
     reg.registerStat("a.counter", &counter);
     ++counter;
-    EXPECT_DOUBLE_EQ(reg.get("a.counter"), 42.0);
-    EXPECT_TRUE(reg.has("a.counter"));
-    EXPECT_FALSE(reg.has("missing"));
-    ASSERT_TRUE(reg.tryGet("a.counter").has_value());
-    EXPECT_DOUBLE_EQ(*reg.tryGet("a.counter"), 42.0);
-    EXPECT_FALSE(reg.tryGet("missing").has_value());
+    EXPECT_EQ(reg.get("a.counter"), 42u);
 }
 
 TEST(StatsDeathTest, GetOfUnknownNameIsFatal)
@@ -642,28 +637,87 @@ TEST(StatsDeathTest, GetOfUnknownNameIsFatal)
                 ::testing::ExitedWithCode(1), "unknown statistic");
 }
 
-TEST(Stats, SumMatching)
+TEST(Stats, AggregateMatchesPrefixStarSuffix)
 {
     StatRegistry reg;
-    std::uint64_t a = 1, b = 2, c = 4;
+    std::uint64_t a = 1, b = 2, c = 4, d = 8;
     reg.registerStat("core0.cycles.busy", &a);
     reg.registerStat("core1.cycles.busy", &b);
     reg.registerStat("core1.cycles.other", &c);
-    EXPECT_DOUBLE_EQ(reg.sumMatching("core", ".busy"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.sumMatching("core1", ""), 6.0);
+    reg.registerStat("system.fastfwd.cycles", &d);
+    EXPECT_EQ(reg.aggregate("core*.busy"), 3u);
+    EXPECT_EQ(reg.aggregate("core1*"), 6u);
+    EXPECT_EQ(reg.aggregate("*.cycles"), 8u);
+    // No '*': one exact name. No match: 0, not a fatal error.
+    EXPECT_EQ(reg.aggregate("core1.cycles.other"), 4u);
+    EXPECT_EQ(reg.aggregate("system.fault.drops"), 0u);
 }
 
-TEST(Stats, SnapshotSortedByName)
+TEST(Stats, SnapshotIsInNameOrder)
 {
     StatRegistry reg;
-    std::uint64_t x = 1;
-    double y = 2.5;
+    std::uint64_t x = 1, y = 2;
     reg.registerStat("zz", &x);
     reg.registerStat("aa", &y);
-    const auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].first, "aa");
-    EXPECT_DOUBLE_EQ(snap[0].second, 2.5);
+    EXPECT_EQ(reg.snapshot(), (StatRegistry::Snapshot{2, 1}));
+}
+
+TEST(Stats, CounterAbove2To53IsExactAcrossAWindow)
+{
+    // A double holds 53 significant bits: 2^53 + 1 would round to 2^53.
+    StatRegistry reg;
+    std::uint64_t v = (std::uint64_t{1} << 53) + 1;
+    reg.registerStat("core0.retired", &v);
+    const StatRegistry::Snapshot before = reg.snapshot();
+    EXPECT_EQ(reg.aggregate(before, "core*.retired"), v);
+    v += 2;
+    const StatRegistry::Snapshot after = reg.snapshot();
+    EXPECT_EQ(after[0], (std::uint64_t{1} << 53) + 3);
+    EXPECT_EQ(reg.window(before, after, "core*.retired"), 2u);
+}
+
+TEST(Stats, ShrinkingCounterWindowReadsZero)
+{
+    // Nodes sum before the window delta is taken, and the delta clamps.
+    StatRegistry reg;
+    std::uint64_t a = 100, b = 50;
+    reg.registerStat("core0.cycles.violation", &a);
+    reg.registerStat("core1.cycles.violation", &b);
+    const StatRegistry::Snapshot before = reg.snapshot();
+    a -= 30;
+    b += 10;
+    const StatRegistry::Snapshot after = reg.snapshot();
+    EXPECT_EQ(reg.window(before, after, "core*.cycles.violation"), 0u);
+    EXPECT_EQ(reg.window(before, after, "core1.cycles.violation"), 10u);
+}
+
+TEST(Stats, HighWaterReadsWindowEndMaxAcrossNodes)
+{
+    StatRegistry reg;
+    std::uint64_t a = 40, b = 7;
+    reg.registerStat("core0.agent.retry_backoff_max", &a,
+                     StatRegistry::Kind::HighWater);
+    reg.registerStat("core1.agent.retry_backoff_max", &b,
+                     StatRegistry::Kind::HighWater);
+    const StatRegistry::Snapshot before = reg.snapshot();
+    b = 25;
+    const StatRegistry::Snapshot after = reg.snapshot();
+    // Not a sum (65), not a delta (18 or 0): the max at window end.
+    EXPECT_EQ(reg.aggregate(after, "core*.agent.retry_backoff_max"), 40u);
+    EXPECT_EQ(reg.window(before, after, "core*.agent.retry_backoff_max"),
+              40u);
+    EXPECT_EQ(reg.window(before, after, "core1.agent.retry_backoff_max"),
+              25u);
+}
+
+TEST(StatsDeathTest, PatternMixingKindsIsFatal)
+{
+    StatRegistry reg;
+    std::uint64_t a = 1, b = 2;
+    reg.registerStat("core0.x", &a);
+    reg.registerStat("core1.x", &b, StatRegistry::Kind::HighWater);
+    EXPECT_EXIT(reg.aggregate("core*.x"), ::testing::ExitedWithCode(1),
+                "mixes counters and high-water");
 }
 
 TEST(Log, StrformatFormats)

@@ -181,7 +181,8 @@ TEST(Sweep, JsonSchemaV2AddsMemoryCountersV1Unchanged)
 {
     // Hand-built stats with known counter values: schema 1 (the
     // committed-golden revision) must not mention the v2 fields at
-    // all; schema 2 must carry them verbatim.
+    // all; schema 2 must carry them verbatim; schema 3 adds the four
+    // fault counters, which neither earlier revision mentions.
     SweepStats s;
     s.workload = "W";
     s.impl = "sc";
@@ -192,18 +193,26 @@ TEST(Sweep, JsonSchemaV2AddsMemoryCountersV1Unchanged)
     r.mshrFullStalls = 13;
     r.dirStaleWritebacks = 5;
     r.dirQueuedRequests = 29;
+    r.retries = 17;
+    r.dropsInjected = 3;
+    r.dupsSquashed = 2;
+    r.timeoutBackoffMax = 1600;
     s.runs.push_back(r);
 
     const RunConfig cfg = smallConfig();
-    std::ostringstream v1, v2;
+    std::ostringstream v1, v2, v3;
     writeSweepJson(v1, {s}, cfg, 1, 1);
     writeSweepJson(v2, {s}, cfg, 1, 2);
+    writeSweepJson(v3, {s}, cfg, 1, 3);
 
+    const char* v2_keys[] = {"mshr_full_stalls", "dir_stale_writebacks",
+                             "dir_queued_requests"};
+    const char* v3_keys[] = {"retries", "drops_injected", "dups_squashed",
+                             "timeout_backoff_max"};
     EXPECT_NE(v1.str().find("\"schema\": \"invisifence-sweep-v1\""),
               std::string::npos);
-    EXPECT_EQ(v1.str().find("mshr_full_stalls"), std::string::npos);
-    EXPECT_EQ(v1.str().find("dir_stale_writebacks"), std::string::npos);
-    EXPECT_EQ(v1.str().find("dir_queued_requests"), std::string::npos);
+    for (const char* key : v2_keys)
+        EXPECT_EQ(v1.str().find(key), std::string::npos) << key;
 
     EXPECT_NE(v2.str().find("\"schema\": \"invisifence-sweep-v2\""),
               std::string::npos);
@@ -212,6 +221,19 @@ TEST(Sweep, JsonSchemaV2AddsMemoryCountersV1Unchanged)
     EXPECT_NE(v2.str().find("\"dir_stale_writebacks\": 5"),
               std::string::npos);
     EXPECT_NE(v2.str().find("\"dir_queued_requests\": 29"),
+              std::string::npos);
+    for (const char* key : v3_keys) {
+        EXPECT_EQ(v1.str().find(key), std::string::npos) << key;
+        EXPECT_EQ(v2.str().find(key), std::string::npos) << key;
+    }
+
+    EXPECT_NE(v3.str().find("\"schema\": \"invisifence-sweep-v3\""),
+              std::string::npos);
+    EXPECT_NE(v3.str().find("\"dir_queued_requests\": 29, "
+                            "\"retries\": 17, \"drops_injected\": 3, "
+                            "\"dups_squashed\": 2, "
+                            "\"timeout_backoff_max\": 1600, "
+                            "\"breakdown\": {"),
               std::string::npos);
 }
 

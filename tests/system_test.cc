@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "harness/runner.hh"
 #include "harness/table.hh"
+#include "workload/synthetic.hh"
 #include "test_util.hh"
 
 using namespace invisifence;
@@ -160,6 +166,46 @@ TEST(Runner, MshrFullStallsSurfaceWhenMshrsAreScarce)
     const RunResult ra = runExperiment(workloadByName("Barnes"),
                                        ImplKind::ConvRMO, ample);
     EXPECT_LT(ra.mshrFullStalls, r.mshrFullStalls);
+}
+
+TEST(Runner, FaultCountersFlowFromTheRegistry)
+{
+    // Drops and duplicates injected, retries armed: the v3 counters must
+    // be nonzero, and the backoff high-water mark must be the max of the
+    // per-agent registry values at window end, not a sum or a delta.
+    RunConfig cfg;
+    cfg.warmupCycles = 400;
+    cfg.measureCycles = 6000;
+    cfg.system = SystemParams::small(4);
+    cfg.system.fault.seed = 99;
+    cfg.system.fault.dropPer64k = 1500;
+    cfg.system.fault.dupPer64k = 1500;
+    cfg.system.agent.retryTimeout = 800;
+    cfg.system.agent.retryBackoffCap = 8000;
+    const Workload& wl = workloadByName("Barnes");
+    const RunResult r = runExperiment(wl, ImplKind::InvisiSC, cfg);
+    EXPECT_GT(r.retries, 0u);
+    EXPECT_GT(r.dropsInjected, 0u);
+    EXPECT_GT(r.dupsSquashed, 0u);
+
+    // Replay the same run by hand and read each agent at window end.
+    std::vector<std::unique_ptr<ThreadProgram>> programs;
+    for (std::uint32_t t = 0; t < cfg.system.numCores; ++t) {
+        programs.push_back(
+            std::make_unique<SyntheticProgram>(wl.params, t, cfg.seed));
+    }
+    System sys(cfg.system, std::move(programs), ImplKind::InvisiSC);
+    warmSystem(sys, wl.params, benchEnv().warmSharers);
+    sys.run(cfg.warmupCycles);
+    sys.run(cfg.measureCycles);
+    std::uint64_t backoff_max = 0;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        backoff_max = std::max(
+            backoff_max, sys.stats().get("core" + std::to_string(i) +
+                                         ".agent.retry_backoff_max"));
+    }
+    EXPECT_GT(backoff_max, 0u);
+    EXPECT_EQ(r.timeoutBackoffMax, backoff_max);
 }
 
 TEST(Table, FormatsAlignedColumns)

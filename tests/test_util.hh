@@ -108,27 +108,16 @@ modelOf(ImplKind k)
     }
 }
 
-/** Expect two RunResults to be bit-identical, field by field. */
+/** Expect two RunResults to be bit-identical, field by field: every
+ *  counter in runFields(), so none can be skipped. */
 inline void
 expectIdenticalResults(const RunResult& a, const RunResult& b)
 {
     EXPECT_EQ(a.workload, b.workload);
     EXPECT_EQ(a.impl, b.impl);
     EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.retired, b.retired);
-    EXPECT_EQ(a.coreCycles, b.coreCycles);
-    EXPECT_EQ(a.speculatingCycles, b.speculatingCycles);
-    EXPECT_EQ(a.aborts, b.aborts);
-    EXPECT_EQ(a.commits, b.commits);
-    EXPECT_EQ(a.breakdown.busy, b.breakdown.busy);
-    EXPECT_EQ(a.breakdown.other, b.breakdown.other);
-    EXPECT_EQ(a.breakdown.sbFull, b.breakdown.sbFull);
-    EXPECT_EQ(a.breakdown.sbDrain, b.breakdown.sbDrain);
-    EXPECT_EQ(a.breakdown.violation, b.breakdown.violation);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.dropsRecovered, b.dropsRecovered);
-    EXPECT_EQ(a.dupsSquashed, b.dupsSquashed);
-    EXPECT_EQ(a.timeoutBackoffMax, b.timeoutBackoffMax);
+    for (const RunField& f : runFields())
+        EXPECT_EQ(f.of(a), f.of(b)) << f.key;
 }
 
 } // namespace invisifence::test
