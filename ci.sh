@@ -24,8 +24,9 @@
 #                      mismatch against benchmark/expected_digests.json;
 #                      then every BENCHMARK.json workload for 10 s on
 #                      the reference commit (merge-base with main, or
-#                      HEAD~1 on main) and on this checkout, alternating
-#                      on this host, failing when this checkout's kcps
+#                      HEAD~1 on main) and on this checkout on the
+#                      same host, alternating which side runs first
+#                      per workload, failing when this checkout's kcps
 #                      is below 0.75x the reference's or any run
 #                      reports "correct": false
 set -euo pipefail
@@ -138,6 +139,13 @@ run_tidy() {
     clang-tidy -p build-release --warnings-as-errors='*' $files
 }
 
+# One 10-s ifbench run of workload $2 from the checkout at $1; the last
+# stdout line of a workload run is its JSON result.
+bench_side() {
+    bash "$1/benchmark/run.sh" --workload "$2" --seed 1 --seconds 10 \
+        --trace 0 | tail -n 1
+}
+
 run_bench() {
     echo "== ifbench smoke: figure-point outcome digests =="
     bash benchmark/run.sh --smoke
@@ -154,15 +162,22 @@ run_bench() {
     # shellcheck disable=SC2064
     trap "git worktree remove --force '$refdir'" EXIT
     git worktree add --detach "$refdir" "$ref" >/dev/null
-    local workloads w ref_out head_out
+    local workloads w ref_out head_out first=ref
     workloads=$(python3 -c 'import json; print(" ".join(
         w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
     for w in $workloads; do
-        # The last stdout line of a workload run is its JSON result.
-        ref_out=$(bash "$refdir/benchmark/run.sh" --workload "$w" \
-            --seed 1 --seconds 10 --trace 0 | tail -n 1)
-        head_out=$(bash benchmark/run.sh --workload "$w" \
-            --seed 1 --seconds 10 --trace 0 | tail -n 1)
+        # Host speed drifts over minutes, so a fixed order would hand
+        # the drift to the same side every time: alternate which side
+        # runs first, workload by workload.
+        if [ "$first" = ref ]; then
+            ref_out=$(bench_side "$refdir" "$w")
+            head_out=$(bench_side . "$w")
+            first=head
+        else
+            head_out=$(bench_side . "$w")
+            ref_out=$(bench_side "$refdir" "$w")
+            first=ref
+        fi
         python3 - "$w" "$ref_out" "$head_out" <<'PY'
 import json, sys
 name, ref, head = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])

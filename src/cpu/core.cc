@@ -7,6 +7,26 @@
 
 namespace invisifence {
 
+namespace {
+
+/** Rob::Mask::Pending membership: execute-stage work remains. */
+bool
+pendingState(const RobEntry& e)
+{
+    return (e.status == RobEntry::Status::Issued && e.valueBound) ||
+           (e.status == RobEntry::Status::Dispatched &&
+            isLoadLike(e.inst.type));
+}
+
+/** Rob::Mask::Bound membership: a value-bound load-like. */
+bool
+boundState(const RobEntry& e)
+{
+    return e.valueBound && isLoadLike(e.inst.type);
+}
+
+} // namespace
+
 Core::Core(NodeId id, const CoreParams& params, CacheAgent& agent,
            ThreadProgram& program)
     : id_(id), params_(params), agent_(agent), program_(program),
@@ -173,11 +193,10 @@ Core::retireStage()
             rob_.clear();
             recountRobStates();
         } else {
-            if (h.valueBound && isLoadLike(h.inst.type)) {
-                if (--boundLoads_ == 0)
-                    boundLoadFilter_ = 0;   // cheap exact-reset point
-            }
-            rob_.popHead();
+            const bool bound_load = boundState(h);
+            rob_.popHead();   // drops the head's mask bits
+            if (bound_load && rob_.none(Rob::Mask::Bound))
+                boundLoadFilter_ = 0;   // cheap exact-reset point
         }
         ++retired;
         ++statRetired;
@@ -201,20 +220,14 @@ Core::retireStage()
 void
 Core::recountRobStates()
 {
-    pendingComplete_ = 0;
-    pendingDispatch_ = 0;
-    boundLoads_ = 0;
+    rob_.unmarkAll();
     boundLoadFilter_ = 0;
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry& e = rob_.at(i);
-        if (e.status == RobEntry::Status::Issued && e.valueBound)
-            ++pendingComplete_;
-        if (e.status == RobEntry::Status::Dispatched &&
-            isLoadLike(e.inst.type)) {
-            ++pendingDispatch_;
-        }
-        if (e.valueBound && isLoadLike(e.inst.type)) {
-            ++boundLoads_;
+        if (pendingState(e))
+            rob_.mark(Rob::Mask::Pending, e);
+        if (boundState(e)) {
+            rob_.mark(Rob::Mask::Bound, e);
             boundLoadFilter_ |= blockFilterBit(e.inst.addr);
         }
     }
@@ -223,18 +236,18 @@ Core::recountRobStates()
 
 #ifndef NDEBUG
 void
-Core::verifyRobCounters() const
+Core::verifyRobMasks() const
 {
-    std::uint32_t complete = 0, dispatch = 0, bound = 0;
+    std::size_t pending = 0, bound = 0;
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry& e = rob_.at(i);
-        if (e.status == RobEntry::Status::Issued && e.valueBound)
-            ++complete;
-        if (e.status == RobEntry::Status::Dispatched &&
-            isLoadLike(e.inst.type)) {
-            ++dispatch;
-        }
-        if (e.valueBound && isLoadLike(e.inst.type)) {
+        IF_DBG_ASSERT(rob_.marked(Rob::Mask::Pending, e) == pendingState(e) &&
+                      "Pending slot mask drifted");
+        IF_DBG_ASSERT(rob_.marked(Rob::Mask::Bound, e) == boundState(e) &&
+                      "Bound slot mask drifted");
+        if (pendingState(e))
+            ++pending;
+        if (boundState(e)) {
             ++bound;
             IF_DBG_ASSERT((boundLoadFilter_ & blockFilterBit(e.inst.addr)) &&
                    "bound-load filter missed a bound load");
@@ -252,9 +265,13 @@ Core::verifyRobCounters() const
             IF_DBG_ASSERT(s == e.seq && "store CAM chain missed a live store");
         }
     }
-    IF_DBG_ASSERT(complete == pendingComplete_ && "pendingComplete_ drifted");
-    IF_DBG_ASSERT(dispatch == pendingDispatch_ && "pendingDispatch_ drifted");
-    IF_DBG_ASSERT(bound == boundLoads_ && "boundLoads_ drifted");
+    // Equal counts rule out set bits on dead slots.
+    IF_DBG_ASSERT(rob_.count(Rob::Mask::Pending) == pending &&
+                  "Pending slot mask marks a dead slot");
+    IF_DBG_ASSERT(rob_.count(Rob::Mask::Bound) == bound &&
+                  "Bound slot mask marks a dead slot");
+    IF_DBG_ASSERT((bound != 0 || boundLoadFilter_ == 0) &&
+                  "bound-load filter not reset with an empty Bound mask");
 }
 #endif
 
@@ -262,42 +279,29 @@ void
 Core::executeStage()
 {
 #ifndef NDEBUG
-    verifyRobCounters();
+    verifyRobMasks();
 #endif
-    // Nothing in flight: skip the window scan entirely (the common case
-    // for a stalled core in the legacy per-cycle loop).
-    if (pendingComplete_ == 0 && pendingDispatch_ == 0)
-        return;
-    // The occupancy counters also bound the scan: once every pending
-    // completion and dispatched load has been visited, the remaining
-    // (Done / retired-stalled) entries can't match either arm.
-    std::uint32_t remaining_complete = pendingComplete_;
-    std::uint32_t remaining_dispatch = pendingDispatch_;
+    // Oldest first over the entries with execute work only; completions
+    // and issues interleave in age order exactly as a full window scan
+    // would (MSHR allocation and event order depend on it). A stalled
+    // core with nothing in flight has an empty mask and visits nothing.
     std::uint32_t issued = 0;
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
-        if (remaining_complete == 0 && remaining_dispatch == 0)
-            break;
+    rob_.forEachMarked(Rob::Mask::Pending, [&](std::size_t i) {
         RobEntry& e = rob_.at(i);
-        if (e.status == RobEntry::Status::Issued && e.valueBound) {
-            --remaining_complete;
+        if (e.status == RobEntry::Status::Issued) {
             if (e.readyAt <= now_) {
                 e.status = RobEntry::Status::Done;
-                --pendingComplete_;
+                rob_.unmark(Rob::Mask::Pending, e);
                 noteWork();
                 if (isLoadLike(e.inst.type))
                     impl_->onLoadExecuted(e);
             }
-            continue;
+        } else if (issued < params_.l1Ports && tryIssueLoad(i)) {
+            ++issued;
+            noteWork();
         }
-        if (e.status == RobEntry::Status::Dispatched &&
-            isLoadLike(e.inst.type)) {
-            --remaining_dispatch;
-            if (issued < params_.l1Ports && tryIssueLoad(i)) {
-                ++issued;
-                noteWork();
-            }
-        }
-    }
+        return true;
+    });
 }
 
 Core::RobForward
@@ -422,9 +426,7 @@ Core::bindLoadValue(RobEntry& entry, std::uint64_t value, Cycle ready)
     entry.valueBound = true;
     entry.status = RobEntry::Status::Issued;
     entry.readyAt = ready;
-    --pendingDispatch_;
-    ++pendingComplete_;
-    ++boundLoads_;
+    rob_.mark(Rob::Mask::Bound, entry);   // stays Pending until readyAt
     boundLoadFilter_ |= blockFilterBit(entry.inst.addr);
 }
 
@@ -523,7 +525,7 @@ Core::tryIssueLoad(std::size_t idx)
     e.status = RobEntry::Status::Issued;
     e.valueBound = false;
     e.readyAt = ~Cycle{0};
-    --pendingDispatch_;
+    rob_.unmark(Rob::Mask::Pending, e);   // the fill wakes it
     ++statLoadMisses;
     return true;
 }
@@ -549,13 +551,13 @@ Core::wakeLoad(InstSeq seq)
         // The block was stolen before the (possibly deferred)
         // fill completed: replay the issue.
         e.status = RobEntry::Status::Dispatched;
-        ++pendingDispatch_;
+        rob_.mark(Rob::Mask::Pending, e);
         return;
     }
     e.result = filled;
     e.valueBound = true;
     e.status = RobEntry::Status::Done;
-    ++boundLoads_;
+    rob_.mark(Rob::Mask::Bound, e);
     boundLoadFilter_ |= blockFilterBit(e.inst.addr);
     if (isLoadLike(e.inst.type))
         impl_->onLoadExecuted(e);
@@ -592,7 +594,7 @@ Core::dispatchStage()
             e.status = RobEntry::Status::Issued;
             e.valueBound = true;
             e.readyAt = now_ + inst.latency;
-            ++pendingComplete_;
+            rob_.mark(Rob::Mask::Pending, e);
             break;
           case OpType::Nop:
           case OpType::Fence:
@@ -609,7 +611,7 @@ Core::dispatchStage()
           case OpType::Cas:
           case OpType::FetchAdd:
             e.status = RobEntry::Status::Dispatched;
-            ++pendingDispatch_;
+            rob_.mark(Rob::Mask::Pending, e);
             break;
           case OpType::Halt:
             break;
@@ -638,51 +640,52 @@ Core::rollbackTo(const ProgSnapshot& snap, InstSeq last_valid_seq)
 void
 Core::notifyInvalidated(Addr block)
 {
-    // No value-bound loads in the window — or none whose block can hash
-    // to this one: nothing to snoop (skips the ROB scan on the
-    // invalidation-heavy path; the filter never misses a bound load).
-    if (boundLoads_ == 0 ||
-        (boundLoadFilter_ & blockFilterBit(block)) == 0) {
+    // No value-bound load in the window whose block can hash to this
+    // one (the filter is 0 when the Bound mask is empty and never
+    // misses a bound load): nothing to snoop.
+    if ((boundLoadFilter_ & blockFilterBit(block)) == 0)
         return;
-    }
     const Addr blk = blockAlign(block);
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
-        RobEntry& e = rob_.at(i);
-        if (!isLoadLike(e.inst.type) || !e.valueBound || e.specMarked)
-            continue;
-        if (blockAlign(e.inst.addr) != blk)
-            continue;
-        // Replay this load and squash everything younger.
-        program_.restoreFrom(rob_.snapAt(i));
-        halted_ = false;
-        rob_.squashAfter(i);
-        e.status = RobEntry::Status::Dispatched;
-        e.valueBound = false;
-        e.readyAt = 0;
-        recountRobStates();
-        ++statLqSquashes;
-        ++flushEpoch_;
-        noteWork();
+    std::size_t victim = rob_.size();
+    rob_.forEachMarked(Rob::Mask::Bound, [&](std::size_t i) {
+        const RobEntry& e = rob_.at(i);
+        if (e.specMarked || blockAlign(e.inst.addr) != blk)
+            return true;
+        victim = i;   // the oldest unprotected bound load of the block
+        return false;
+    });
+    if (victim == rob_.size())
         return;
-    }
+    // Replay this load and squash everything younger.
+    RobEntry& e = rob_.at(victim);
+    program_.restoreFrom(rob_.snapAt(victim));
+    halted_ = false;
+    rob_.squashAfter(victim);
+    e.status = RobEntry::Status::Dispatched;
+    e.valueBound = false;
+    e.readyAt = 0;
+    recountRobStates();
+    ++statLqSquashes;
+    ++flushEpoch_;
+    noteWork();
 }
 
 Cycle
 Core::nextWorkAt() const
 {
     // ROB part: the earliest completion of a value-bound in-flight entry
-    // (ALU latency, L1 hit latency). Memoized on the work version — any
-    // ROB mutation bumps it, and in a quiescent state no entry has
-    // readyAt <= now (the tick would have completed it).
+    // (ALU latency, L1 hit latency) — the Issued members of the Pending
+    // mask. Memoized on the work version — any ROB mutation bumps it,
+    // and in a quiescent state no entry has readyAt <= now (the tick
+    // would have completed it).
     if (robReadyVersion_ != workVersion_) {
         Cycle ready = kNeverCycle;
-        for (std::size_t i = 0; i < rob_.size(); ++i) {
+        rob_.forEachMarked(Rob::Mask::Pending, [&](std::size_t i) {
             const RobEntry& e = rob_.at(i);
-            if (e.status == RobEntry::Status::Issued && e.valueBound &&
-                e.readyAt < ready) {
+            if (e.status == RobEntry::Status::Issued && e.readyAt < ready)
                 ready = e.readyAt;
-            }
-        }
+            return true;
+        });
         robReadyVersion_ = workVersion_;
         robReadyMemo_ = ready;
     }

@@ -9,6 +9,11 @@
  * implementation). In-window speculative load reordering is supported by
  * snooping the ROB's bound-value loads on invalidations and replaying
  * from the violating load, as in MIPS R10000-style designs (Section 2.1).
+ *
+ * The per-tick window walks (execute, the nextWorkAt() readiness memo,
+ * the invalidation snoop) visit only the entries marked in the ROB's
+ * Pending and Bound slot masks, oldest first; every status transition
+ * below updates the masks, so no walk ever tests an idle entry.
  */
 
 #ifndef INVISIFENCE_CPU_CORE_HH
@@ -198,35 +203,27 @@ class Core
     /** Same result via the word CAM chain: O(same-word store-likes). */
     RobForward forwardFromChain(std::size_t idx, Addr addr) const;
 
-    /** Squash all entries younger than index @p idx and refetch. */
-    void squashYounger(std::size_t idx);
-
     void bindLoadValue(RobEntry& entry, std::uint64_t value, Cycle ready);
 
     /**
-     * @{ Execute-stage occupancy counters, maintained at every status
-     * transition so the per-tick ROB scans can be skipped when nothing
-     * is in flight: pendingComplete_ counts Issued entries with a bound
-     * value (awaiting readyAt), pendingDispatch_ counts dispatched
-     * load-likes awaiting issue, and boundLoads_ counts value-bound
-     * load-likes (the in-window load queue the invalidation snoop
-     * searches). Squashes recount wholesale (rare); a debug build
-     * verifies the counters against a full scan every tick.
+     * @{ Execute-stage slot masks (Rob::Mask), maintained at every
+     * status transition so the per-tick walks — execute, the
+     * nextWorkAt() readiness memo and the invalidation snoop — visit
+     * set bits in age order instead of the whole window. Squashes
+     * rebuild both masks wholesale (rare); a debug build checks them
+     * against a full-scan recomputation every tick.
      */
     void recountRobStates();
 #ifndef NDEBUG
-    void verifyRobCounters() const;
+    void verifyRobMasks() const;
 #endif
-    std::uint32_t pendingComplete_ = 0;
-    std::uint32_t pendingDispatch_ = 0;
-    std::uint32_t boundLoads_ = 0;
     /**
      * Conservative 64-bit filter over the block addresses of bound
      * load-likes: a set bit may be stale (loads leave at retirement
      * without clearing), but every bound load's block is always
      * covered, so a filter miss safely skips the invalidation snoop's
-     * ROB scan. Rebuilt exactly on recounts; reset when the last bound
-     * load retires.
+     * walk. Rebuilt exactly on recounts; reset when the Bound mask
+     * empties at a retirement, so it is 0 whenever the mask is empty.
      */
     std::uint64_t boundLoadFilter_ = 0;
 

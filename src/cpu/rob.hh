@@ -10,6 +10,7 @@
 #ifndef INVISIFENCE_CPU_ROB_HH
 #define INVISIFENCE_CPU_ROB_HH
 
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -71,14 +72,34 @@ static_assert(std::is_trivially_copyable_v<RobEntry>,
  *
  * The per-entry program snapshot (192 bytes, read only at retirement
  * and on rollbacks) lives in a parallel cold lane, keeping RobEntry at
- * ~1/3 the size so the per-tick execute/forwarding/snoop scans stride
- * hot fields only — the same split-lane layout as the cache arrays.
+ * ~1/3 the size so the forwarding chain walks stride hot fields only —
+ * the same split-lane layout as the cache arrays.
+ *
+ * Two slot masks, one bit per physical ring slot, name the entries the
+ * core's per-tick walks care about, so those walks visit set bits
+ * instead of the whole window (see Mask). The core sets and clears the
+ * bits at every status transition; the ring itself drops the bits of
+ * every slot it removes (popHead, squashAfter, clear), so a set bit
+ * always names a live entry and a freshly pushed slot starts unmarked.
  */
 class Rob
 {
   public:
+    /** Slot-mask selector. */
+    enum class Mask : std::uint8_t
+    {
+        /** Execute-stage work: Issued entries with a bound value
+         *  (awaiting readyAt) and Dispatched load-likes (awaiting
+         *  issue). */
+        Pending,
+        /** Value-bound load-likes: the in-window load queue the
+         *  invalidation snoop searches. */
+        Bound,
+    };
+
     explicit Rob(std::uint32_t capacity)
-        : capacity_(capacity), slots_(capacity), snaps_(capacity)
+        : capacity_(capacity), slots_(capacity), snaps_(capacity),
+          pending_((capacity + 63) / 64), bound_((capacity + 63) / 64)
     {}
 
     bool full() const { return size_ >= capacity_; }
@@ -98,6 +119,7 @@ class Rob
     void
     popHead()
     {
+        dropSlot(head_);
         ++head_;
         if (head_ >= capacity_)
             head_ = 0;
@@ -108,6 +130,8 @@ class Rob
     void
     squashAfter(std::size_t idx)
     {
+        for (std::size_t i = idx + 1; i < size_; ++i)
+            dropSlot(slot(i));
         size_ = idx + 1;
     }
 
@@ -116,6 +140,7 @@ class Rob
     {
         head_ = 0;
         size_ = 0;
+        unmarkAll();
     }
 
     RobEntry& at(std::size_t i) { return slots_[slot(i)]; }
@@ -154,6 +179,78 @@ class Rob
         return -1;
     }
 
+    /** @{ Slot-mask bits of the live entry @p e (a reference into this
+     *  ring, e.g. from at() or head()). */
+    void
+    mark(Mask m, const RobEntry& e)
+    {
+        const std::size_t s = slotOf(e);
+        bits(m)[s >> 6] |= std::uint64_t{1} << (s & 63);
+    }
+
+    void
+    unmark(Mask m, const RobEntry& e)
+    {
+        const std::size_t s = slotOf(e);
+        bits(m)[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    }
+
+    bool
+    marked(Mask m, const RobEntry& e) const
+    {
+        const std::size_t s = slotOf(e);
+        return (bits(m)[s >> 6] >> (s & 63)) & 1u;
+    }
+    /** @} */
+
+    bool
+    none(Mask m) const
+    {
+        for (const std::uint64_t w : bits(m)) {
+            if (w != 0)
+                return false;
+        }
+        return true;
+    }
+
+    std::size_t
+    count(Mask m) const
+    {
+        std::size_t c = 0;
+        for (const std::uint64_t w : bits(m))
+            c += static_cast<std::size_t>(std::popcount(w));
+        return c;
+    }
+
+    /** Clear both masks (the core's wholesale rebuild after a squash). */
+    void
+    unmarkAll()
+    {
+        for (std::uint64_t& w : pending_)
+            w = 0;
+        for (std::uint64_t& w : bound_)
+            w = 0;
+    }
+
+    /**
+     * Call @p fn(index) for every entry marked in @p m, oldest first,
+     * until @p fn returns false: the physical slots [head, capacity),
+     * then the wrapped [0, head). Each step re-reads the live mask word
+     * from the next slot onward, so @p fn may clear its own bit or set
+     * a younger entry's and the walk sees it — the same entries a full
+     * oldest-first window scan testing each entry's live state would
+     * visit. A squash or clear inside @p fn drops the removed slots'
+     * bits, ending the walk at the new tail.
+     */
+    template <typename Fn>
+    void
+    forEachMarked(Mask m, Fn&& fn) const
+    {
+        const std::size_t head = head_;
+        if (walkSlots(bits(m), head, capacity_, head, fn))
+            walkSlots(bits(m), 0, head, head, fn);
+    }
+
   private:
     /** Ring index without an integer division: i < capacity always. */
     std::size_t
@@ -163,9 +260,65 @@ class Rob
         return s < capacity_ ? s : s - capacity_;
     }
 
+    std::size_t
+    slotOf(const RobEntry& e) const
+    {
+        return static_cast<std::size_t>(&e - slots_.data());
+    }
+
+    std::vector<std::uint64_t>& bits(Mask m)
+    {
+        return m == Mask::Pending ? pending_ : bound_;
+    }
+    const std::vector<std::uint64_t>& bits(Mask m) const
+    {
+        return m == Mask::Pending ? pending_ : bound_;
+    }
+
+    /** Remove slot @p s from both masks (the entry leaves the ring). */
+    void
+    dropSlot(std::size_t s)
+    {
+        const std::uint64_t keep = ~(std::uint64_t{1} << (s & 63));
+        pending_[s >> 6] &= keep;
+        bound_[s >> 6] &= keep;
+    }
+
+    /** One physical segment [lo, hi) of forEachMarked; false when
+     *  @p fn stopped the walk. @p head converts slots to indices. */
+    template <typename Fn>
+    bool
+    walkSlots(const std::vector<std::uint64_t>& mask, std::size_t lo,
+              std::size_t hi, std::size_t head, Fn& fn) const
+    {
+        if (lo >= hi)
+            return true;
+        const std::size_t last = (hi - 1) >> 6;
+        std::uint64_t from = ~std::uint64_t{0} << (lo & 63);
+        for (std::size_t wi = lo >> 6; wi <= last; ++wi) {
+            const std::uint64_t upto =
+                wi == last ? ~std::uint64_t{0} >> (63 - ((hi - 1) & 63))
+                           : ~std::uint64_t{0};
+            std::uint64_t w = mask[wi] & from & upto;
+            while (w != 0) {
+                const auto b = static_cast<std::size_t>(std::countr_zero(w));
+                const std::size_t s = wi * 64 + b;
+                if (!fn(s >= head ? s - head : s + capacity_ - head))
+                    return false;
+                if (b == 63)
+                    break;
+                w = mask[wi] & upto & (~std::uint64_t{0} << (b + 1));
+            }
+            from = ~std::uint64_t{0};
+        }
+        return true;
+    }
+
     std::uint32_t capacity_;
     std::vector<RobEntry> slots_;
     std::vector<ProgSnapshot> snaps_;   //!< cold lane, parallel to slots_
+    std::vector<std::uint64_t> pending_;   //!< Mask::Pending, per slot
+    std::vector<std::uint64_t> bound_;     //!< Mask::Bound, per slot
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

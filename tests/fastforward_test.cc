@@ -68,6 +68,23 @@ TEST(FastForward, BitIdenticalResultsAcrossWorkloads)
     }
 }
 
+TEST(FastForward, BitIdenticalAtMultiWordRobSize)
+{
+    // A 65-entry ROB spans two slot-mask words with one bit in the
+    // second, so the mask-driven nextWorkAt() readiness memo and the
+    // execute walk cross a word boundary and the ring wrap.
+    const Workload& wl = workloadSuite().front();
+    for (const ImplKind kind : {ImplKind::InvisiSC, ImplKind::ConvRMO}) {
+        SCOPED_TRACE(implKindName(kind));
+        RunConfig off = ffConfig(23, 0);
+        RunConfig on = ffConfig(23, 1);
+        off.system.core.robSize = 65;
+        on.system.core.robSize = 65;
+        expectIdenticalResults(runExperiment(wl, kind, off),
+                               runExperiment(wl, kind, on));
+    }
+}
+
 TEST(FastForward, SkipsCyclesOnStallDominatedRuns)
 {
     // Guard against the optimization silently disabling itself: under
