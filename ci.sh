@@ -26,8 +26,9 @@
 #                      the reference commit (merge-base with main, or
 #                      HEAD~1 on main) and on this checkout on the
 #                      same host, alternating which side runs first
-#                      per workload, failing when this checkout's kcps
-#                      is below 0.75x the reference's or any run
+#                      per workload; prints every workload's ratio,
+#                      then fails when this checkout's kcps is below
+#                      0.75x the reference's on any workload or any run
 #                      reports "correct": false
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -162,7 +163,7 @@ run_bench() {
     # shellcheck disable=SC2064
     trap "git worktree remove --force '$refdir'" EXIT
     git worktree add --detach "$refdir" "$ref" >/dev/null
-    local workloads w ref_out head_out first=ref
+    local workloads w ref_out head_out first=ref failed=0
     workloads=$(python3 -c 'import json; print(" ".join(
         w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
     for w in $workloads; do
@@ -178,7 +179,9 @@ run_bench() {
             ref_out=$(bench_side "$refdir" "$w")
             first=ref
         fi
-        python3 - "$w" "$ref_out" "$head_out" <<'PY'
+        # Check every workload before failing, so one slow workload
+        # does not hide the others' ratios.
+        python3 - "$w" "$ref_out" "$head_out" <<'PY' || failed=1
 import json, sys
 name, ref, head = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 r = ref["metrics"]["kcps"]["value"]
@@ -190,6 +193,10 @@ print(f"  {name:20} ref {r:10.1f}  head {h:10.1f} kcyc/s  "
 sys.exit(0 if ok else 1)
 PY
     done
+    if [ "$failed" -ne 0 ]; then
+        echo "ifbench: kcps check failed for at least one workload"
+        return 1
+    fi
 }
 
 run_format() {

@@ -62,17 +62,6 @@ CacheAgent::CacheAgent(NodeId node, const HomeMap& home_map, Network& net,
       vc_(params.victimEntries), mshrs_(params.mshrs + 64)
 {
     net_.attachAgent(node_, this);
-    // Prime the local-fill batch pool past any realistic number of
-    // concurrently pending local fills (events live ~l2Latency ticks),
-    // so the steady-state hot path never allocates; demand beyond the
-    // preallocation still works, each extra slot allocating once.
-    localBatches_.reserve(128);
-    freeBatch_ = 0;
-    for (std::uint32_t s = 0; s < 128; ++s) {
-        LocalFillBatch& b = localBatches_.emplace_back();
-        b.waiters.reserve(4);
-        b.nextFree = s + 1 < 128 ? s + 1 : ~std::uint32_t{0};
-    }
 }
 
 CacheAgent::Where
@@ -165,35 +154,11 @@ CacheAgent::request(Addr addr, bool write, FillWaiter cb)
                 vc_hit ? params_.victimLatency : params_.l2Latency;
             if (vc_hit)
                 vc_.extract(block, nullptr);
-            const Cycle due = eq_.now() + lat;
-            // Merge into the just-scheduled local fill for this block
-            // when nothing else entered the queue since (the two
-            // events would be adjacent in the same-tick FIFO, so
-            // appending to the batch is unobservable; see
-            // localBatches_ in the header).
-            if (lastLocalSeqAfter_ == eq_.scheduledCount() &&
-                lastLocalBlock_ == block && lastLocalDue_ == due) {
-                hotPush(localBatches_[lastLocalSlot_].waiters, cb);
-                return true;
-            }
-            std::uint32_t slot;
-            if (freeBatch_ != ~std::uint32_t{0}) {
-                slot = freeBatch_;
-                freeBatch_ = localBatches_[slot].nextFree;
-            } else {
-                slot = static_cast<std::uint32_t>(localBatches_.size());
-                localBatches_.emplace_back();
-            }
-            LocalFillBatch& b = localBatches_[slot];
-            b.block = block;
-            hotPush(b.waiters, cb);
-            eq_.schedule(lat, [this, slot]() {
-                runLocalFillBatch(slot);
-            }, node_);
-            lastLocalBlock_ = block;
-            lastLocalDue_ = due;
-            lastLocalSlot_ = slot;
-            lastLocalSeqAfter_ = eq_.scheduledCount();
+            // Attempt 0 of a local-fill retry record: it runs where a
+            // separate event scheduled now would, and a refusal retries
+            // it like any other overflowed fill.
+            eq_.scheduleRetry(lat, RetryRecord{&retryLocalFill, this, block,
+                                               cb, 0, node_});
             return true;
         }
         // Upgrade: data present (Shared) but write permission missing.
@@ -308,14 +273,14 @@ CacheAgent::markSpecReadIfPresent(Addr addr, std::uint32_t ctx)
 }
 
 bool
-CacheAgent::cleanWriteback(Addr addr, FillCallback cb)
+CacheAgent::cleanWriteback(Addr addr, FillWaiter cb)
 {
     const Addr block = blockAlign(addr);
     const CacheArray::Line l1line = l1_.lookup(block);
     if (!l1line || !l1line.dirty())
         return false;
     ++statCleanWritebacks;
-    eq_.schedule(params_.l2Latency, [this, block, cb]() mutable {
+    eq_.schedule(params_.l2Latency, [this, block, cb]() {
         const CacheArray::Line line = l1_.lookup(block);
         if (line && line.dirty() && !line.specWrittenAny())
             syncL2FromL1(line, l2_.lookup(block));
@@ -406,13 +371,6 @@ CacheAgent::noteRefusedFill(Addr block, std::uint32_t attempt)
         listener_->resolveSpecEvictionHard(block);
 }
 
-void
-CacheAgent::deferFill(RetryRecord::Fn fn, Addr block, FillWaiter cb)
-{
-    eq_.scheduleRetry(kOverflowRetryDelay,
-                      RetryRecord{fn, this, block, cb, 1, node_});
-}
-
 Cycle
 CacheAgent::retryFinishFill(void* owner, RetryRecord& rec)
 {
@@ -455,27 +413,6 @@ CacheAgent::completeLocalFill(Addr block, FillWaiter cb,
 }
 
 void
-CacheAgent::runLocalFillBatch(std::uint32_t slot)
-{
-    // Move the waiters out first: a waiter can re-enter request() and
-    // grow localBatches_, invalidating references into the slab.
-    const Addr block = localBatches_[slot].block;
-    std::vector<FillWaiter> waiters =
-        std::move(localBatches_[slot].waiters);
-    // Each waiter revalidates/defers independently, exactly as the N
-    // adjacent per-waiter events it replaces would have.
-    for (const FillWaiter& cb : waiters) {
-        if (completeLocalFill(block, cb, 0))
-            deferFill(&retryLocalFill, block, cb);
-    }
-    waiters.clear();
-    LocalFillBatch& b = localBatches_[slot];
-    b.waiters = std::move(waiters);   // recycle the capacity
-    b.nextFree = freeBatch_;
-    freeBatch_ = slot;
-}
-
-void
 CacheAgent::handleFill(const Msg& msg)
 {
     Mshr* m = mshrs_.lookup(msg.blockAddr, Mshr::Kind::Fetch);
@@ -492,8 +429,11 @@ CacheAgent::handleFill(const Msg& msg)
 
     installL2(msg.blockAddr, msg.data, state);
     ++statL1FillsRemote;
-    if (finishFill(msg.blockAddr, 0))
-        deferFill(&retryFinishFill, msg.blockAddr, {});
+    if (finishFill(msg.blockAddr, 0)) {
+        eq_.scheduleRetry(kOverflowRetryDelay,
+                          RetryRecord{&retryFinishFill, this, msg.blockAddr,
+                                      {}, 1, node_});
+    }
 }
 
 bool

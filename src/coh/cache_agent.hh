@@ -30,7 +30,6 @@
 #include "mem/mshr.hh"
 #include "mem/victim_cache.hh"
 #include "sim/event_queue.hh"
-#include "sim/inplace_fn.hh"
 #include "sim/ring_deque.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -136,8 +135,7 @@ class CacheAgent
      * prefetch/permission requests (a null callback is not queued at
      * all, so retry-heavy drain loops don't grow the waiter lists).
      * Identical records merge: same-block requests carrying the same
-     * record share one waiter node, and same-tick local fills to one
-     * block share one scheduled event (a waiter batch).
+     * record share one waiter node.
      */
     bool request(Addr addr, bool write, FillWaiter cb = {});
 
@@ -188,7 +186,7 @@ class CacheAgent
      * stores). @p cb runs when the copy completes. Returns false when the
      * block is not dirty in L1 (no cleaning needed; @p cb not called).
      */
-    bool cleanWriteback(Addr addr, FillCallback cb);
+    bool cleanWriteback(Addr addr, FillWaiter cb);
 
     /** Commit context @p ctx: flash-clear its speculative bits. */
     void flashCommit(std::uint32_t ctx);
@@ -290,8 +288,6 @@ class CacheAgent
     /** @} */
     /** Count refused attempt @p attempt; hard-abort at the bound. */
     void noteRefusedFill(Addr block, std::uint32_t attempt);
-    /** Defer a refused fill: attempt 1 of @p fn in one retry period. */
-    void deferFill(RetryRecord::Fn fn, Addr block, FillWaiter cb);
     /**
      * One attempt at finishing a network fill; true when the L1 refused
      * it (speculative overflow) and it must be retried.
@@ -300,12 +296,12 @@ class CacheAgent
     /** One attempt at an L2/VC-local fill (same deferral rules). */
     bool completeLocalFill(Addr block, FillWaiter cb,
                            std::uint32_t attempt);
-    /** @{ Batched-retry thunks (RetryRecord::Fn) of the two sites. */
+    /** @{ Batched-retry thunks (RetryRecord::Fn) of the two fill
+     *  paths. A local fill is a record from its attempt 0; a network
+     *  fill runs attempt 0 on delivery and becomes one when refused. */
     static Cycle retryFinishFill(void* owner, RetryRecord& rec);
     static Cycle retryLocalFill(void* owner, RetryRecord& rec);
     /** @} */
-    /** Run one batch of merged same-(block, due) local-fill waiters. */
-    void runLocalFillBatch(std::uint32_t slot);
     void evictL2Line(CacheArray::Line line);
     void sendToHome(MsgType type, Addr block, const BlockData* data,
                     bool dirty, std::uint32_t txn_id = 0);
@@ -352,34 +348,6 @@ class CacheAgent
      *  iteration without per-call vector churn. A pool, not a single
      *  member, because drains can re-enter (abort paths). */
     std::vector<std::vector<Msg>> msgScratchPool_;
-
-    /**
-     * Local-fill event batching: N same-tick requests hitting one
-     * locally resident block used to schedule N identical
-     * completeLocalFill events; now the first schedules a batch event
-     * and the rest append their waiter to it. A request merges IFF
-     * nothing else was scheduled since the batch (lastLocalSeqAfter_
-     * still matches the queue's scheduled count) and (block, due)
-     * match: the merged events would have been adjacent in the
-     * same-tick FIFO, so running their waiters back-to-back inside one
-     * event is unobservable. Slots are free-listed; waiter vectors
-     * keep their capacity across reuse (steady state allocates
-     * nothing).
-     */
-    struct LocalFillBatch
-    {
-        Addr block = 0;
-        std::vector<FillWaiter> waiters;
-        std::uint32_t nextFree = ~std::uint32_t{0};
-    };
-    std::vector<LocalFillBatch> localBatches_;
-    std::uint32_t freeBatch_ = ~std::uint32_t{0};
-    /** @{ Fingerprint of the most recently scheduled batch. */
-    Addr lastLocalBlock_ = ~Addr{0};
-    Cycle lastLocalDue_ = 0;
-    std::uint32_t lastLocalSlot_ = ~std::uint32_t{0};
-    std::uint64_t lastLocalSeqAfter_ = ~std::uint64_t{0};
-    /** @} */
 };
 
 } // namespace invisifence

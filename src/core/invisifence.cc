@@ -751,6 +751,12 @@ SpeculativeImpl::cleaningPendingErase(Addr block)
 }
 
 void
+SpeculativeImpl::cleanedThunk(void* owner, std::uint64_t block)
+{
+    static_cast<SpeculativeImpl*>(owner)->cleaningPendingErase(block);
+}
+
+void
 SpeculativeImpl::onL1Install(Addr block)
 {
     // A dormant store-buffer entry (waitingFill) skips its per-tick
@@ -821,10 +827,9 @@ SpeculativeImpl::drainStoreBuffer()
                     hotPush(cleaningPending_, e.blockAddr);
                     ++statCleanings;
                     core_.noteWork();
-                    const Addr blk = e.blockAddr;
-                    agent_.cleanWriteback(blk, [this, blk]() {
-                        cleaningPendingErase(blk);
-                    });
+                    agent_.cleanWriteback(
+                        e.blockAddr,
+                        FillWaiter{&cleanedThunk, this, e.blockAddr});
                 }
                 ++i;
                 continue;

@@ -213,6 +213,8 @@ class SpeculativeImpl : public ConsistencyImpl
     std::vector<Addr> cleaningPending_;
     bool cleaningPendingContains(Addr block) const;
     void cleaningPendingErase(Addr block);
+    /** cleanWriteback completion (FillWaiter fn): {impl, block}. */
+    static void cleanedThunk(void* owner, std::uint64_t block);
     /** Per-tick "first entry per block" scratch for drainStoreBuffer
      *  (reused; a per-call unordered_set allocated every tick). */
     std::vector<Addr> drainSeen_;

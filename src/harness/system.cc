@@ -177,6 +177,12 @@ System::System(const SystemParams& params,
         agents_.push_back(std::make_unique<CacheAgent>(
             n, homeMap_, net_, eq_, params_.agent));
     }
+    // Retry-record chunks, 8 per core (~0.9 KB each, ~115 KB at 16
+    // cores). Every local fill and refused-fill retry waits in a chunk
+    // of a retry batch; figure runs peak at 5-23 chunks per core, so
+    // allocating 8 here, next to the agents, moves most of that growth
+    // out of the run. The slab still grows on demand past it.
+    eq_.reserveRetryChunks(params_.numCores * 8);
     for (NodeId n = 0; n < params_.numCores; ++n) {
         cores_.push_back(std::make_unique<Core>(n, params_.core,
                                                 *agents_[n],

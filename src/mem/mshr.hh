@@ -16,13 +16,12 @@
  * checked against a scan over forEachLive() by tests/mem_test.cc.
  *
  * Waiter callbacks are typed {function, owner, argument} records
- * (FillWaiter, 24 bytes — down from the 40-byte InplaceFn closures),
- * which makes identical waiters comparable: N same-block loads of one
- * core collapse to a single chained record at merge time instead of N
- * equivalent closures. The records live in one shared free-listed slab
- * of intrusive chain nodes (not per-MSHR vectors, whose capacities
- * would each have to converge separately) — so the steady state
- * performs no heap allocation per transaction.
+ * (FillWaiter, 24 bytes), which makes identical waiters comparable: N
+ * same-block loads of one core collapse to a single chained record at
+ * merge time instead of N equivalent closures. The records live in one
+ * shared free-listed slab of intrusive chain nodes (not per-MSHR
+ * vectors, whose capacities would each have to converge separately) —
+ * so the steady state performs no heap allocation per transaction.
  */
 
 #ifndef INVISIFENCE_MEM_MSHR_HH

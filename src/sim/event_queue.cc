@@ -108,6 +108,17 @@ EventQueue::growChunks()
     return static_cast<std::uint32_t>(chunks_.size() - 1);
 }
 
+void
+EventQueue::reserveRetryChunks(std::uint32_t n)
+{
+    chunks_.reserve(chunks_.size() + n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t c = growChunks();
+        chunk(c).next = freeChunk_;
+        freeChunk_ = c;
+    }
+}
+
 std::uint32_t
 EventQueue::takeChunk()
 {

@@ -203,6 +203,13 @@ class EventQueue
     }
 
     /**
+     * Put @p n empty retry-record chunks on the free list now, so the
+     * first retries of a run take recycled chunks instead of growing
+     * the chunk slab mid-run (set-up cost, not a setting).
+     */
+    void reserveRetryChunks(std::uint32_t n);
+
+    /**
      * Devirtualized message delivery: one function pointer + context for
      * the whole queue (the Network and its endpoint table), replacing a
      * std::function sink per endpoint.

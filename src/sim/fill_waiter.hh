@@ -1,7 +1,8 @@
 /**
  * @file
- * Typed fill-completion callback shared by the MSHR waiter lists and the
- * event queue's batched retry records.
+ * The one fill-completion callback type: MSHR waiter lists, the event
+ * queue's batched retry records (local fills and refused-fill retries)
+ * and clean-writeback completions all carry a FillWaiter.
  */
 
 #ifndef INVISIFENCE_SIM_FILL_WAITER_HH

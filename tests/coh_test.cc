@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "coh/cache_agent.hh"
@@ -288,8 +289,7 @@ TEST(Protocol, CleanWritebackPreservesValueInL2)
     rig.agents[0]->writeWordL1(0x9000, 5, false, 0);
     ASSERT_TRUE(rig.agents[0]->l1Dirty(0x9000));
     bool cleaned = false;
-    ASSERT_TRUE(rig.agents[0]->cleanWriteback(0x9000,
-                                              [&]() { cleaned = true; }));
+    ASSERT_TRUE(rig.agents[0]->cleanWriteback(0x9000, flagWaiter(&cleaned)));
     rig.settle();
     EXPECT_TRUE(cleaned);
     EXPECT_FALSE(rig.agents[0]->l1Dirty(0x9000));
@@ -463,37 +463,69 @@ TEST(DirectoryFlat, GrowthUnderTrafficMatchesDefaultCapacity)
     }
 }
 
-// --------------------------------------------- local-fill event batching
+// ------------------------------------------ local fills as retry records
 
-TEST(CacheAgentBatch, SameTickLocalFillsShareOneEvent)
+namespace {
+
+/** (tag, cycle) of every completed local-fill waiter, in order. */
+struct FillLog
 {
-    Rig rig(2);
-    const Addr addr = 0xb000;
-    rig.fetch(0, addr, false);   // make the block locally resident
+    const EventQueue* eq = nullptr;
+    std::vector<std::pair<std::uint64_t, Cycle>> done;
+};
 
-    const std::uint64_t before = rig.eq.scheduledCount();
-    constexpr int kLoads = 5;
-    int done = 0;
-    for (int i = 0; i < kLoads; ++i)
-        ASSERT_TRUE(rig.agents[0]->request(
-            addr, false, countWaiter(&done, static_cast<std::uint64_t>(i))));
-    // One batch event carries all five waiters.
-    EXPECT_EQ(rig.eq.scheduledCount() - before, 1u);
-    rig.settle();
-    EXPECT_EQ(done, kLoads);
+/** FillWaiter record that appends (@p tag, now) to @p log. */
+FillWaiter
+logWaiter(FillLog* log, std::uint64_t tag)
+{
+    return {[](void* owner, std::uint64_t arg) {
+                FillLog& l = *static_cast<FillLog*>(owner);
+                l.done.emplace_back(arg, l.eq->now());
+            },
+            log, tag};
 }
 
-TEST(CacheAgentBatch, DifferentBlocksDoNotMerge)
+/**
+ * Request one local fill per entry of @p blocks in a single tick (all
+ * blocks L2-resident) and check the retry-record contract: each waiter
+ * is one scheduled and one executed event, the records due at one tick
+ * share one queue node, and they complete in request order at
+ * now + l2Latency.
+ */
+void
+expectLocalFillsShareOneNode(const std::vector<Addr>& blocks)
 {
     Rig rig(2);
-    rig.fetch(0, 0xc000, false);
-    rig.fetch(0, 0xd000, false);
+    for (Addr b : blocks)
+        rig.fetch(0, b, false);   // make the block locally resident
 
-    const std::uint64_t before = rig.eq.scheduledCount();
-    int done = 0;
-    ASSERT_TRUE(rig.agents[0]->request(0xc000, false, countWaiter(&done, 0)));
-    ASSERT_TRUE(rig.agents[0]->request(0xd000, false, countWaiter(&done, 1)));
-    EXPECT_EQ(rig.eq.scheduledCount() - before, 2u);
+    const std::uint64_t scheduled = rig.eq.scheduledCount();
+    const std::uint64_t executed = rig.eq.executedCount();
+    const std::uint64_t nodes = rig.eq.dispatchedNodes();
+    const Cycle due = rig.eq.now() + rig.agents[0]->params().l2Latency;
+    FillLog log{&rig.eq, {}};
+    std::vector<std::pair<std::uint64_t, Cycle>> expected;
+    for (std::uint64_t i = 0; i < blocks.size(); ++i) {
+        ASSERT_TRUE(rig.agents[0]->request(blocks[i], false,
+                                           logWaiter(&log, i)));
+        expected.emplace_back(i, due);
+    }
+    EXPECT_EQ(rig.eq.scheduledCount() - scheduled, blocks.size());
+    EXPECT_EQ(rig.eq.size(), blocks.size());
     rig.settle();
-    EXPECT_EQ(done, 2);
+    EXPECT_EQ(rig.eq.executedCount() - executed, blocks.size());
+    EXPECT_EQ(rig.eq.dispatchedNodes() - nodes, 1u);
+    EXPECT_EQ(log.done, expected);
+}
+
+} // namespace
+
+TEST(CacheAgentBatch, SameTickLocalFillsToOneBlockShareOneNode)
+{
+    expectLocalFillsShareOneNode({0xb000, 0xb000, 0xb000, 0xb000, 0xb000});
+}
+
+TEST(CacheAgentBatch, SameTickLocalFillsToTwoBlocksShareOneNode)
+{
+    expectLocalFillsShareOneNode({0xc000, 0xd000, 0xc000});
 }

@@ -373,6 +373,7 @@ struct OverflowTrace
     std::vector<Cycle> fills[2];      //!< cycle of every L1 fill
     std::vector<Cycle> bothRefused;   //!< cycles both cores were refused
     std::uint64_t deferredFills[2] = {0, 0};
+    std::uint64_t deferredFillEpisodes[2] = {0, 0};
     std::uint64_t forcedSpecEvictions[2] = {0, 0};
     std::uint64_t forcedEvictions[2] = {0, 0};
     std::uint64_t commits[2] = {0, 0};
@@ -433,6 +434,7 @@ runOverflowPair(Cycle mem_latency)
     t.doneAt = sys->now();
     for (std::uint32_t c = 0; c < 2; ++c) {
         t.deferredFills[c] = sys->agent(c).statDeferredFills;
+        t.deferredFillEpisodes[c] = sys->agent(c).statDeferredFillEpisodes;
         t.forcedSpecEvictions[c] = sys->agent(c).statForcedSpecEvictions;
         t.forcedEvictions[c] = spec(*sys, c).statForcedEvictions;
         t.commits[c] = spec(*sys, c).statCommits;
@@ -479,6 +481,9 @@ TEST(SpecOverflow, TwoCoresRefusedInTheSameCycleResolveByCommit)
     EXPECT_EQ(t.deferredFills[0], 27u);
     EXPECT_EQ(t.deferredFills[1], 31u);
     for (std::uint32_t c = 0; c < 2; ++c) {
+        // One waiting local fill per core: its attempt 0 opens the
+        // episode; every later refusal is a retry of the same one.
+        EXPECT_EQ(t.deferredFillEpisodes[c], 1u);
         EXPECT_EQ(t.forcedSpecEvictions[c], t.deferredFills[c]);
         EXPECT_EQ(t.forcedEvictions[c], t.deferredFills[c]);
         EXPECT_EQ(t.commits[c], 1u);
@@ -512,6 +517,7 @@ TEST(SpecOverflow, StuckDrainReachesTheHardAbortAtAttempt200)
                   6296, 6306, 6316, 6326}));
     EXPECT_EQ(t.bothRefused, everyTenth(3204, 5204));
     for (std::uint32_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(t.deferredFillEpisodes[c], 1u);
         EXPECT_EQ(t.deferredFills[c], 201u);
         EXPECT_EQ(t.forcedSpecEvictions[c], 201u);
         EXPECT_EQ(t.forcedEvictions[c], 201u);

@@ -401,7 +401,8 @@ runRules(const std::string& path, const std::vector<Token>& toks,
         if (hot && t.text == "function" && prev == "::" && prev2 == "std") {
             out.push_back({path, t.line, "std-function",
                            "std::function in a hot-path directory; use "
-                           "InplaceFn (owning, bounded) or FunctionRef "
+                           "a typed record (FillWaiter, RetryRecord), an "
+                           "inline event closure, or FunctionRef "
                            "(borrowing)"});
             continue;
         }
