@@ -26,10 +26,12 @@
 #                      the reference commit (merge-base with main, or
 #                      HEAD~1 on main) and on this checkout on the
 #                      same host, alternating which side runs first
-#                      per workload; prints every workload's ratio,
-#                      then fails when this checkout's kcps is below
-#                      0.75x the reference's on any workload or any run
-#                      reports "correct": false
+#                      per workload; prints all five end-to-end
+#                      metrics of every workload on both sides, then
+#                      fails when this checkout's kcps is below 0.75x
+#                      the reference's, its heap_peak_mb is worse than
+#                      the reference's by more than the BENCHMARK.json
+#                      bound, or any run reports "correct": false
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -184,17 +186,29 @@ run_bench() {
         python3 - "$w" "$ref_out" "$head_out" <<'PY' || failed=1
 import json, sys
 name, ref, head = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
-r = ref["metrics"]["kcps"]["value"]
-h = head["metrics"]["kcps"]["value"]
-ok = ref["correct"] and head["correct"] and h >= 0.75 * r
-print(f"  {name:20} ref {r:10.1f}  head {h:10.1f} kcyc/s  "
-      f"x{h / r:.2f}  correct {ref['correct']}/{head['correct']}  "
-      f"{'ok' if ok else 'FAIL'}")
+metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+ok = ref["correct"] and head["correct"]
+print(f"  {name}: correct {ref['correct']}/{head['correct']}")
+for m in metrics:
+    r = ref["metrics"][m["name"]]["value"]
+    h = head["metrics"][m["name"]]["value"]
+    gate = ""
+    if m["name"] == "kcps":
+        # Host speed drifts 10-15%: only a large kcps loss fails.
+        gate = "ok" if h >= 0.75 * r else "FAIL (below 0.75x)"
+    elif m["name"] == "heap_peak_mb":
+        # Heap size does not drift with the host: hold the declared bound.
+        gate = ("ok" if h <= r * (1 + m["bound"])
+                else f"FAIL (over +{m['bound']:.0%})")
+    ok = ok and not gate.startswith("FAIL")
+    ratio = f"x{h / r:.3f}" if r else "-"
+    print(f"    {m['name']:13} ref {r:12.4f}  head {h:12.4f} {m['unit']:7} "
+          f"{ratio:7}  {gate}")
 sys.exit(0 if ok else 1)
 PY
     done
     if [ "$failed" -ne 0 ]; then
-        echo "ifbench: kcps check failed for at least one workload"
+        echo "ifbench: kcps or heap check failed for at least one workload"
         return 1
     fi
 }

@@ -371,24 +371,63 @@ CacheAgent::noteRefusedFill(Addr block, std::uint32_t attempt)
         listener_->resolveSpecEvictionHard(block);
 }
 
+bool
+CacheAgent::replayRefusal(const RetryRecord& rec)
+{
+    if (rec.refusedAt != fillStamp())
+        return false;
+    IF_DBG_ASSERT(refusalStands(rec) &&
+                  "replayed overflow refusal drifted from a fresh probe");
+    // The probe would find the same forced victim; the listener still
+    // gives its verdict on every attempt.
+    ++statForcedSpecEvictions;
+    if (listener_->resolveSpecEviction(rec.block))
+        return false;   // committed: the probing attempt installs
+    noteRefusedFill(rec.block, rec.attempt);
+    return true;
+}
+
+Cycle
+CacheAgent::carryRefusal(RetryRecord& rec) const
+{
+    // From the bound on, the refusal hard-aborted the speculation and
+    // its facts are gone: the next attempt must probe.
+    rec.refusedAt = rec.attempt < kOverflowRetryBound
+                        ? fillStamp()
+                        : RetryRecord::kNoStamp;
+    ++rec.attempt;
+    return kOverflowRetryDelay;
+}
+
+#ifndef NDEBUG
+bool
+CacheAgent::refusalStands(const RetryRecord& rec)
+{
+    bool forced = false;
+    l1_.findNonSpeculativeVictim(rec.block, &forced);
+    return l2_.lookup(rec.block) && !l1_.lookup(rec.block) && forced &&
+           (rec.fn != &retryFinishFill || fetchOutstanding(rec.block));
+}
+#endif
+
 Cycle
 CacheAgent::retryFinishFill(void* owner, RetryRecord& rec)
 {
-    if (!static_cast<CacheAgent*>(owner)->finishFill(rec.block,
-                                                      rec.attempt))
+    auto* self = static_cast<CacheAgent*>(owner);
+    if (!self->replayRefusal(rec) &&
+        !self->finishFill(rec.block, rec.attempt))
         return 0;
-    ++rec.attempt;
-    return kOverflowRetryDelay;
+    return self->carryRefusal(rec);
 }
 
 Cycle
 CacheAgent::retryLocalFill(void* owner, RetryRecord& rec)
 {
-    if (!static_cast<CacheAgent*>(owner)->completeLocalFill(
-            rec.block, rec.waiter, rec.attempt))
+    auto* self = static_cast<CacheAgent*>(owner);
+    if (!self->replayRefusal(rec) &&
+        !self->completeLocalFill(rec.block, rec.waiter, rec.attempt))
         return 0;
-    ++rec.attempt;
-    return kOverflowRetryDelay;
+    return self->carryRefusal(rec);
 }
 
 bool
@@ -432,7 +471,7 @@ CacheAgent::handleFill(const Msg& msg)
     if (finishFill(msg.blockAddr, 0)) {
         eq_.scheduleRetry(kOverflowRetryDelay,
                           RetryRecord{&retryFinishFill, this, msg.blockAddr,
-                                      {}, 1, node_});
+                                      {}, 1, node_, fillStamp()});
     }
 }
 

@@ -289,6 +289,33 @@ class CacheAgent
     /** Count refused attempt @p attempt; hard-abort at the bound. */
     void noteRefusedFill(Addr block, std::uint32_t attempt);
     /**
+     * L1 plus L2 CacheArray::mutations(). A refusal rests on four
+     * facts: the block is in the L2, absent from the L1, its L1 set has
+     * no non-speculative way, and (network fill) its fetch MSHR is
+     * live. Each can change only with a frame install or invalidation
+     * or a flash op (an MSHR is freed only by an L1 install), so while
+     * this stamp stands still, so do they.
+     */
+    std::uint64_t
+    fillStamp() const
+    {
+        return l1_.mutations() + l2_.mutations();
+    }
+    /**
+     * Replay @p rec's last refusal without probing the caches when
+     * fillStamp() still equals its refusedAt: count the forced
+     * eviction, ask the listener again, and count the refusal. True
+     * when refused again; false when the stamp moved or the listener
+     * committed, and the caller runs the probing attempt.
+     */
+    bool replayRefusal(const RetryRecord& rec);
+    /** Stamp refused @p rec and count its attempt; the retry delay. */
+    Cycle carryRefusal(RetryRecord& rec) const;
+#ifndef NDEBUG
+    /** Fresh probe of the facts a replay of @p rec relies on. */
+    bool refusalStands(const RetryRecord& rec);
+#endif
+    /**
      * One attempt at finishing a network fill; true when the L1 refused
      * it (speculative overflow) and it must be retried.
      */

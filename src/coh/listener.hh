@@ -51,7 +51,11 @@ class CoherenceListener
      * repeating it on unchanged state must leave the same state and
      * return the same verdict. SpeculativeImpl relies on this to replay
      * a refusal without rescanning while the core's work version is
-     * unchanged.
+     * unchanged. The agent keeps calling on every retry even when it
+     * replays the refusal from its cache stamp (no L1/L2 frame or
+     * speculative bit was cleared since): it skips its own probes, not
+     * the verdict, and then passes the filled block, not a re-searched
+     * victim, as @p block.
      */
     virtual bool resolveSpecEviction(Addr block) = 0;
 

@@ -919,7 +919,6 @@ bool
 SpeculativeImpl::resolveSpecEviction(Addr block)
 {
     (void)block;
-    ++statForcedEvictions;
     if (!speculating())
         return true;   // stale bits cannot exist; nothing to resolve
     // A refused fill retries every 10 cycles. Every input of the
@@ -992,7 +991,6 @@ SpeculativeImpl::registerStats(StatRegistry& reg,
     reg.registerStat(prefix + ".cov_deferrals", &statCovDeferrals);
     reg.registerStat(prefix + ".cov_commits", &statCovCommits);
     reg.registerStat(prefix + ".cov_timeouts", &statCovTimeouts);
-    reg.registerStat(prefix + ".forced_evictions", &statForcedEvictions);
     reg.registerStat(prefix + ".cleanings", &statCleanings);
     // Cycles pending in each slot (reset to Ckpt{} on commit or abort):
     // with the core's ".cycles.*" they account every elapsed cycle.

@@ -121,7 +121,6 @@ class SpeculativeImpl : public ConsistencyImpl
     std::uint64_t statCovDeferrals = 0;
     std::uint64_t statCovCommits = 0;
     std::uint64_t statCovTimeouts = 0;
-    std::uint64_t statForcedEvictions = 0;
     std::uint64_t statCleanings = 0;
     std::uint64_t statMarkFallbacks = 0;
 

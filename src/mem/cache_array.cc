@@ -200,6 +200,7 @@ CacheArray::installFrame(std::uint32_t frame, Addr block_addr,
     tag.state = s;
     tag.dirty = 0;
     ++gen_[frame];
+    ++mutations_;
     mru_[frameSet(frame)] =
         static_cast<std::uint8_t>(frame % ways_);
 }
@@ -215,6 +216,7 @@ CacheArray::invalidateFrame(std::uint32_t frame)
     for (std::uint32_t c = 0; c < kMaxCheckpoints; ++c)
         clearSpecCtx(frame, c);
     ++gen_[frame];
+    ++mutations_;
 }
 
 void
@@ -224,6 +226,9 @@ CacheArray::flashClearSpecBits(std::uint32_t ctx)
 #ifndef NDEBUG
     verifySpecIndex();
 #endif
+    if (specFrames_[ctx].empty())
+        return;
+    ++mutations_;
     const std::uint8_t mask =
         static_cast<std::uint8_t>(~bitOf<std::uint8_t>(ctx));
     for (const std::uint32_t frame : specFrames_[ctx]) {
@@ -241,6 +246,9 @@ CacheArray::flashInvalidateSpecWritten(std::uint32_t ctx)
 #ifndef NDEBUG
     verifySpecIndex();
 #endif
+    if (specFrames_[ctx].empty())
+        return;
+    ++mutations_;
     const std::uint8_t bit = bitOf<std::uint8_t>(ctx);
     // Detach the ctx index first: invalidateFrame() below edits the
     // *other* context's index through clearSpecCtx, and must not see a

@@ -299,6 +299,16 @@ class CacheArray
     /** Apply @p fn to every valid line. */
     void forEachValid(FunctionRef<void(const Line&)> fn);
 
+    /**
+     * Monotonic count of the mutations that can end a speculative-
+     * overflow refusal: a frame installed or invalidated, or a flash op
+     * that cleared bits. LRU touches, state, dirty and data writes, and
+     * setting a speculative bit (which only keeps a full set full) do
+     * not move it. The cache agent replays an unchanged refusal while
+     * the count stands still.
+     */
+    std::uint64_t mutations() const { return mutations_; }
+
     std::uint32_t numSets() const { return num_sets_; }
     std::uint32_t numWays() const { return ways_; }
     const std::string& name() const { return name_; }
@@ -352,6 +362,7 @@ class CacheArray
     std::vector<std::uint32_t> specPos_[kMaxCheckpoints];
     std::vector<std::uint32_t> flashScratch_;
     std::uint32_t lruCounter_ = 0;
+    std::uint64_t mutations_ = 0;
 };
 
 inline CacheArray::Line

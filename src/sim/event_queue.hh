@@ -71,12 +71,15 @@ constexpr std::size_t kEventInlineBytes = sizeof(Msg) + 2 * sizeof(void*);
  * fixed-size, trivially copyable record. fn runs the attempt and returns
  * the delay before the next one, or 0 when the retry is finished; it may
  * update the record (e.g. count the attempt) before asking to run again.
- * block, waiter and attempt are the owner's payload; wakeNode is the
- * core woken before each attempt, as for any tagged event.
+ * block, waiter, attempt and refusedAt are the owner's payload; wakeNode
+ * is the core woken before each attempt, as for any tagged event.
  */
 struct RetryRecord
 {
     using Fn = Cycle (*)(void* owner, RetryRecord& rec);
+
+    /** refusedAt of a record whose last attempt left no stamp. */
+    static constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
 
     Fn fn = nullptr;
     void* owner = nullptr;
@@ -84,6 +87,11 @@ struct RetryRecord
     FillWaiter waiter{};
     std::uint32_t attempt = 0;
     std::uint32_t wakeNode = kNoWakeNode;
+    /** The owner's state stamp right after its last refused attempt
+     *  (CacheAgent: the L1 plus L2 CacheArray::mutations()), or
+     *  kNoStamp. While the stamp is unchanged the refusal's facts still
+     *  hold and the owner may replay it without probing its caches. */
+    std::uint64_t refusedAt = kNoStamp;
 };
 
 static_assert(std::is_trivially_copyable_v<RetryRecord>,

@@ -375,7 +375,6 @@ struct OverflowTrace
     std::uint64_t deferredFills[2] = {0, 0};
     std::uint64_t deferredFillEpisodes[2] = {0, 0};
     std::uint64_t forcedSpecEvictions[2] = {0, 0};
-    std::uint64_t forcedEvictions[2] = {0, 0};
     std::uint64_t commits[2] = {0, 0};
     std::uint64_t aborts[2] = {0, 0};
     Cycle doneAt = 0;
@@ -389,11 +388,13 @@ struct OverflowTrace
  * later fills are refused (Section 4.1 overflow) until the store
  * drains. The run is stepped one cycle at a time to record every fill
  * completion and every cycle in which both cores' retries were refused.
+ * A non-empty @p third script runs on a third core.
  */
 OverflowTrace
-runOverflowPair(Cycle mem_latency)
+runOverflowPair(Cycle mem_latency, ImplKind kind = ImplKind::InvisiSC,
+                std::vector<ScriptOp> third = {})
 {
-    SystemParams params = slowMem(2);
+    SystemParams params = slowMem(third.empty() ? 2 : 3);
     params.agent.l1Size = 1024;
     params.dir.memLatency = mem_latency;
     std::vector<std::vector<ScriptOp>> scripts(2);
@@ -410,7 +411,9 @@ runOverflowPair(Cycle mem_latency)
                 s.push_back(opAlu(1));
         }
     }
-    auto sys = makeScripted(scripts, ImplKind::InvisiSC, params);
+    if (!third.empty())
+        scripts.push_back(std::move(third));
+    auto sys = makeScripted(scripts, kind, params);
     OverflowTrace t;
     std::uint64_t fills[2] = {0, 0};
     std::uint64_t deferred[2] = {0, 0};
@@ -436,7 +439,6 @@ runOverflowPair(Cycle mem_latency)
         t.deferredFills[c] = sys->agent(c).statDeferredFills;
         t.deferredFillEpisodes[c] = sys->agent(c).statDeferredFillEpisodes;
         t.forcedSpecEvictions[c] = sys->agent(c).statForcedSpecEvictions;
-        t.forcedEvictions[c] = spec(*sys, c).statForcedEvictions;
         t.commits[c] = spec(*sys, c).statCommits;
         t.aborts[c] = spec(*sys, c).statAborts;
         EXPECT_EQ(sys->agent(c).specFootprint(), 0u);
@@ -485,7 +487,6 @@ TEST(SpecOverflow, TwoCoresRefusedInTheSameCycleResolveByCommit)
         // episode; every later refusal is a retry of the same one.
         EXPECT_EQ(t.deferredFillEpisodes[c], 1u);
         EXPECT_EQ(t.forcedSpecEvictions[c], t.deferredFills[c]);
-        EXPECT_EQ(t.forcedEvictions[c], t.deferredFills[c]);
         EXPECT_EQ(t.commits[c], 1u);
         EXPECT_EQ(t.aborts[c], 0u);
     }
@@ -520,11 +521,120 @@ TEST(SpecOverflow, StuckDrainReachesTheHardAbortAtAttempt200)
         EXPECT_EQ(t.deferredFillEpisodes[c], 1u);
         EXPECT_EQ(t.deferredFills[c], 201u);
         EXPECT_EQ(t.forcedSpecEvictions[c], 201u);
-        EXPECT_EQ(t.forcedEvictions[c], 201u);
         EXPECT_EQ(t.commits[c], 0u);
         EXPECT_EQ(t.aborts[c], 1u);
     }
     EXPECT_EQ(t.doneAt, 6356u);
+}
+
+namespace {
+
+/**
+ * Third-core script: a store to @p block that issues only after a
+ * 3000-cycle miss and a 250-cycle ALU op, so its request reaches core
+ * 0 at 3336, while core 0's fill to block 417 is being refused.
+ */
+std::vector<ScriptOp>
+lateWriter(Addr block)
+{
+    std::vector<ScriptOp> s;
+    s.push_back(opLoad(taddr(600)));
+    for (std::uint32_t i = 0; i < 100; ++i)
+        s.push_back(opAlu(1));   // fills the ROB behind the miss
+    s.push_back(opAlu(250));
+    s.push_back(opStore(block, 7));
+    return s;
+}
+
+} // namespace
+
+TEST(SpecOverflow, ExternalInvalidationEndsTheRefusal)
+{
+    // The stuck-drain pair plus a late writer to core 0's
+    // speculatively-read block 401. Core 0's waiting fill is refused
+    // from 3204 until the write's invalidation aborts its speculation
+    // at 3336; the next attempt installs at 3344. Core 1 still waits
+    // for the hard abort. Every value below is the reference behaviour.
+    const OverflowTrace t = runOverflowPair(3000, ImplKind::InvisiSC,
+                                            lateWriter(taddr(401)));
+    EXPECT_EQ(t.fills[0],
+              (std::vector<Cycle>{
+                  3014, 3015, 3016, 3017, 3018, 3019, 3020, 3021, 3052,
+                  3052, 3053, 3053, 3054, 3054, 3055, 3055, 3056, 3056,
+                  3057, 3057, 3058, 3058, 3059, 3059, 3081, 3112, 3132,
+                  3142, 3163, 3173, 3194, 3344, 3389, 6111, 6162, 6173,
+                  6244, 6255, 6265, 6275, 6285, 6296, 6306, 6316, 6326}));
+    EXPECT_EQ(t.bothRefused, everyTenth(3204, 3334));
+    EXPECT_EQ(t.deferredFills[0], 14u);
+    EXPECT_EQ(t.forcedSpecEvictions[0], 14u);
+    EXPECT_EQ(t.aborts[0], 1u);
+    EXPECT_EQ(t.deferredFills[1], 201u);
+    EXPECT_EQ(t.forcedSpecEvictions[1], 201u);
+    EXPECT_EQ(t.aborts[1], 1u);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(t.deferredFillEpisodes[c], 1u);
+        EXPECT_EQ(t.commits[c], 0u);
+    }
+    EXPECT_EQ(t.doneAt, 6356u);
+}
+
+TEST(SpecOverflow, StolenBlockEndsTheRefusal)
+{
+    // The late writer takes block 417 itself, which core 0's waiting
+    // local fill wants and its L1 does not hold: no conflict, only the
+    // L2 copy is invalidated. The next attempt finds the block gone and
+    // wakes the load, whose refetch (forwarded by the writer) arrives at
+    // 3396 and is refused in a second episode until its attempt 200
+    // hard-aborts at 5396. Every value below is the reference
+    // behaviour.
+    const OverflowTrace t = runOverflowPair(3000, ImplKind::InvisiSC,
+                                            lateWriter(taddr(417)));
+    EXPECT_EQ(t.fills[0],
+              (std::vector<Cycle>{
+                  3014, 3015, 3016, 3017, 3018, 3019, 3020, 3021, 3052,
+                  3052, 3053, 3053, 3054, 3054, 3055, 3055, 3056, 3056,
+                  3057, 3057, 3058, 3058, 3059, 3059, 3081, 3112, 3132,
+                  3142, 3163, 3173, 3194, 3396, 6111, 6162, 6244, 6265,
+                  6275, 6285, 6296, 6306, 6316, 6326}));
+    EXPECT_EQ(t.deferredFills[0], 215u);
+    EXPECT_EQ(t.deferredFillEpisodes[0], 2u);
+    EXPECT_EQ(t.forcedSpecEvictions[0], 215u);
+    EXPECT_EQ(t.deferredFills[1], 201u);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(t.commits[c], 0u);
+        EXPECT_EQ(t.aborts[c], 1u);
+    }
+    EXPECT_EQ(t.doneAt, 6356u);
+}
+
+TEST(SpecOverflow, CommitInsideResolveSpecEvictionEndsTheRefusal)
+{
+    // The pair under INVISIFENCE-CONTINUOUS at memory latency 400. The
+    // waiting fills are refused until attempt 200 hard-aborts both
+    // speculations at 2419. At 2429 core 0's attempt 201 finds its set
+    // full of a new chunk's speculative lines, and resolveSpecEviction
+    // commits that chunk: the fill installs and counts one forced
+    // eviction more than refusals. Core 1 does the same at 4439, ten
+    // cycles after its next hard abort. Every value below is the
+    // reference behaviour.
+    const OverflowTrace t = runOverflowPair(400, ImplKind::Continuous);
+    EXPECT_EQ(t.fills[0],
+              (std::vector<Cycle>{
+                  414,  415,  415,  416,  417,  417,  418,  419,  419,
+                  420,  421,  421,  452,  452,  453,  454,  454,  455,
+                  456,  456,  457,  458,  458,  459,  2423, 2423, 2424,
+                  2424, 2424, 2425, 2425, 2426, 2427, 2427, 2428, 2428,
+                  2429, 2429, 2430, 2430, 2431, 2439, 2450, 2687, 2697,
+                  2707, 2718, 2728, 2738, 3089, 4754, 4758, 5052, 5083,
+                  5093, 5103, 5113, 5124, 5134, 5144, 5154, 5165, 5175,
+                  5185, 5195, 5206, 5216}));
+    EXPECT_EQ(t.deferredFills[0], 1168u);
+    EXPECT_EQ(t.deferredFills[1], 1967u);
+    EXPECT_EQ(t.deferredFillEpisodes[0], 6u);
+    EXPECT_EQ(t.deferredFillEpisodes[1], 10u);
+    for (std::uint32_t c = 0; c < 2; ++c)
+        EXPECT_EQ(t.forcedSpecEvictions[c], t.deferredFills[c] + 1);
+    EXPECT_EQ(t.doneAt, 7267u);
 }
 
 TEST(Quiesce, SpeculativeImplsReportQuiescedOnlyWhenClean)

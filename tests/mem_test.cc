@@ -237,6 +237,59 @@ TEST(CacheArray, InvalidateClearsEverything)
     EXPECT_FALSE(c.lookup(0));
 }
 
+TEST(CacheArray, MutationsMoveOnlyWhenARefusalCanEnd)
+{
+    // mutations() stamps what an overflow refusal rests on: frame
+    // identity and cleared speculative bits. Everything else, setting a
+    // speculative bit included, must leave it alone.
+    CacheArray c(4096, 2, "t");
+    const Addr b = 32ull * kBlockBytes;   // same set as block 0
+    std::uint64_t m = c.mutations();
+    const auto moved = [&]() {
+        const std::uint64_t now = c.mutations();
+        const bool changed = now != m;
+        m = now;
+        return changed;
+    };
+
+    CacheArray::Line l = c.findVictim(0);
+    l.install(0, CoherenceState::Exclusive);
+    EXPECT_TRUE(moved());
+    CacheArray::Line l2 = c.findVictim(b);
+    l2.install(b, CoherenceState::Shared);
+    EXPECT_TRUE(moved());
+
+    c.touch(l);
+    l.setState(CoherenceState::Modified);
+    l.setDirty(true);
+    l.data().writeWord(0, 7);
+    l.setSpecRead(0);
+    l.setSpecWritten(1);
+    l2.setSpecRead(0);
+    ASSERT_TRUE(c.lookup(0));
+    bool forced = false;
+    c.findNonSpeculativeVictim(64ull * kBlockBytes, &forced);
+    EXPECT_TRUE(forced);
+    EXPECT_FALSE(moved());
+
+    c.flashClearSpecBits(0);        // clears l's and l2's ctx-0 bits
+    EXPECT_TRUE(moved());
+    c.flashClearSpecBits(0);        // nothing left in ctx 0
+    c.flashInvalidateSpecWritten(0);
+    EXPECT_FALSE(moved());
+    c.flashInvalidateSpecWritten(1);   // invalidates l
+    EXPECT_TRUE(moved());
+    EXPECT_FALSE(c.lookup(0));
+
+    l2.setSpecRead(1);
+    EXPECT_FALSE(moved());
+    c.flashInvalidateSpecWritten(1);   // clears l2's read bit only
+    EXPECT_TRUE(moved());
+    ASSERT_TRUE(c.lookup(b));
+    l2.invalidate();
+    EXPECT_TRUE(moved());
+}
+
 // ------------------------------------------- handle/generation semantics
 
 TEST(CacheArrayHandle, SurvivesStateAndLruChanges)
