@@ -48,7 +48,7 @@ populate(CacheArray& cache)
 static void
 BM_CacheLookup(benchmark::State& state)
 {
-    CacheArray cache(64 * 1024, 2, "bm");
+    CacheArray cache(64 * 1024, 2, "bm", CacheLevel::L1);
     populate(cache);
     Addr probe = 0;
     for (auto _ : state) {
@@ -63,7 +63,7 @@ BENCHMARK(BM_CacheLookup);
 static void
 BM_CacheLookupSameBlock(benchmark::State& state)
 {
-    CacheArray cache(64 * 1024, 2, "bm");
+    CacheArray cache(64 * 1024, 2, "bm", CacheLevel::L1);
     populate(cache);
     for (auto _ : state)
         benchmark::DoNotOptimize(cache.lookup(0));
@@ -74,7 +74,7 @@ BENCHMARK(BM_CacheLookupSameBlock);
 static void
 BM_CacheHandleResolve(benchmark::State& state)
 {
-    CacheArray cache(64 * 1024, 2, "bm");
+    CacheArray cache(64 * 1024, 2, "bm", CacheLevel::L1);
     populate(cache);
     const CacheArray::Handle h = cache.lookup(0).handle();
     for (auto _ : state)
@@ -86,7 +86,7 @@ BENCHMARK(BM_CacheHandleResolve);
 static void
 BM_FlashClearSpecBits(benchmark::State& state)
 {
-    CacheArray cache(64 * 1024, 2, "bm");
+    CacheArray cache(64 * 1024, 2, "bm", CacheLevel::L1);
     populate(cache);
     for (auto _ : state)
         cache.flashClearSpecBits(0);
@@ -99,7 +99,7 @@ BENCHMARK(BM_FlashClearSpecBits);
 static void
 BM_FlashClearSpecBitsMarked(benchmark::State& state)
 {
-    CacheArray cache(64 * 1024, 2, "bm");
+    CacheArray cache(64 * 1024, 2, "bm", CacheLevel::L1);
     populate(cache);
     const std::uint32_t marked =
         static_cast<std::uint32_t>(state.range(0));
@@ -125,7 +125,7 @@ BENCHMARK(BM_FlashClearSpecBitsMarked)->Arg(8)->Arg(64);
 static void
 BM_FlashInvalidateSpecWritten(benchmark::State& state)
 {
-    CacheArray cache(64 * 1024, 2, "bm");
+    CacheArray cache(64 * 1024, 2, "bm", CacheLevel::L1);
     populate(cache);
     for (auto _ : state)
         cache.flashInvalidateSpecWritten(0);

@@ -56,9 +56,9 @@ CacheAgent::CacheAgent(NodeId node, const HomeMap& home_map, Network& net,
     : node_(node), homeMap_(home_map), net_(net), eq_(eq),
       params_(params),
       l1_(params.l1Size, params.l1Ways,
-          "node" + std::to_string(node) + ".l1d"),
+          "node" + std::to_string(node) + ".l1d", CacheLevel::L1),
       l2_(params.l2Size, params.l2Ways,
-          "node" + std::to_string(node) + ".l2"),
+          "node" + std::to_string(node) + ".l2", CacheLevel::L2),
       vc_(params.victimEntries), mshrs_(params.mshrs + 64)
 {
     net_.attachAgent(node_, this);
@@ -153,7 +153,7 @@ CacheAgent::request(Addr addr, bool write, FillWaiter cb)
             const Cycle lat =
                 vc_hit ? params_.victimLatency : params_.l2Latency;
             if (vc_hit)
-                vc_.extract(block, nullptr);
+                vc_.extract(block);
             // Attempt 0 of a local-fill retry record: it runs where a
             // separate event scheduled now would, and a refusal retries
             // it like any other overflowed fill.
@@ -323,7 +323,7 @@ CacheAgent::tryInstantL1Install(Addr addr)
     CacheArray::Line l2line = l2_.lookup(block);
     if (!l2line)
         return false;
-    vc_.extract(block, nullptr);
+    vc_.extract(block);
     return static_cast<bool>(installL1(block, l2line));
 }
 
@@ -467,7 +467,6 @@ CacheAgent::handleFill(const Msg& msg)
         state = CoherenceState::Exclusive;
 
     installL2(msg.blockAddr, msg.data, state);
-    ++statL1FillsRemote;
     if (finishFill(msg.blockAddr, 0)) {
         eq_.scheduleRetry(kOverflowRetryDelay,
                           RetryRecord{&retryFinishFill, this, msg.blockAddr,
@@ -499,6 +498,7 @@ CacheAgent::finishFill(Addr block, std::uint32_t attempt)
         noteRefusedFill(block, attempt);
         return true;
     }
+    ++statL1FillsRemote;
 
     const bool writable = isWritable(l2line.state());
 
@@ -793,12 +793,11 @@ CacheAgent::installL1(Addr block, CacheArray::Line l2line)
     }
     if (victim.valid()) {
         // Non-speculative L1 victim: propagate dirty data to the L2 and
-        // keep a clean low-latency copy in the victim cache.
+        // remember the block in the victim cache for a fast refill.
         IF_DBG_ASSERT(!victim.speculative());
         if (victim.dirty())
             syncL2FromL1(victim, l2_.lookup(victim.blockAddr()));
-        vc_.insertFrom(victim.blockAddr(), victim.state(),
-                       victim.data());
+        vc_.insert(victim.blockAddr());
         victim.invalidate();
     }
 

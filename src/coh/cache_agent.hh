@@ -231,8 +231,12 @@ class CacheAgent
     /** Register this agent's (and its MSHR file's) statistics. */
     void registerStats(StatRegistry& reg, const std::string& prefix) const;
 
+    /** @{ L1 installs by an L2/VC-local and by a network fill. Both
+     *  count the install, not the arrival: a fill refused by a
+     *  speculative overflow counts once, when it finally installs. */
     std::uint64_t statL1FillsLocal = 0;
     std::uint64_t statL1FillsRemote = 0;
+    /** @} */
     std::uint64_t statUpgrades = 0;
     std::uint64_t statExternalServed = 0;
     std::uint64_t statExternalDeferred = 0;

@@ -10,7 +10,7 @@ DirectorySlice::DirectorySlice(NodeId node, const HomeMap& home_map,
                                FunctionalMemory& mem,
                                const DirectoryParams& params)
     : node_(node), homeMap_(home_map), net_(net), eq_(eq), mem_(mem),
-      params_(params), dir_(params.flatCapacity)
+      params_(params)
 {
     net_.attachDirectory(node_, this);
     if (params_.faultTolerant) {

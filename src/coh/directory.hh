@@ -44,10 +44,6 @@ struct DirectoryParams
 {
     Cycle memLatency = 160;   //!< 40 ns at 4 GHz
     Cycle procLatency = 10;   //!< microcoded protocol controller occupancy
-    /** Initial capacity (rounded up to a power of two) of the flat
-     *  per-block state table; sized so warm-started runs never grow it
-     *  after warmup. Growth doubles and rehashes (warmup only). */
-    std::uint32_t flatCapacity = 1u << 13;
 
     /** @{ Fault tolerance (derived by the System; see AgentParams).
      *  When on, the slice deduplicates retried/duplicated requests by
@@ -102,7 +98,10 @@ class DirectorySlice
     };
     EntryView inspect(Addr block) const;
 
-    /** @{ Warm-start utilities: set directory state directly. */
+    /** @{ Warm-start utilities: size the per-block table once for the
+     *  @p blocks entries the warm start will prime here, then set
+     *  directory state directly. */
+    void reserve(std::size_t blocks) { dir_.reserve(blocks); }
     void primeOwned(Addr block, NodeId owner);
     void primeShared(Addr block, const SharerSet& sharers);
     /** @} */
@@ -216,8 +215,9 @@ class DirectorySlice
 
     /**
      * Per-block directory state. Directory state is never erased, so
-     * the flat table only inserts (growth doubles + rehashes, which
-     * warm-started runs absorb during warmup).
+     * the flat table only inserts. A warm start sizes it once for the
+     * blocks it primes (reserve); blocks first touched later grow it
+     * by doubling, which warm-started runs absorb during warmup.
      */
     FlatAddrMap<DirEntry> dir_;
     RecyclingMap<Addr, BlockHome> home_;

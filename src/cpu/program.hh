@@ -26,7 +26,7 @@ namespace invisifence {
 /** Fixed-size POD snapshot of a program's architectural state. */
 struct ProgSnapshot
 {
-    static constexpr std::size_t kMaxBytes = 192;
+    static constexpr std::size_t kMaxBytes = 64;
     std::array<std::uint8_t, kMaxBytes> bytes{};
 };
 

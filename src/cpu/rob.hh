@@ -70,10 +70,10 @@ static_assert(std::is_trivially_copyable_v<RobEntry>,
  * every dispatch/retire — the per-instruction hot path. The ring is
  * allocated once at construction and recycled forever.
  *
- * The per-entry program snapshot (192 bytes, read only at retirement
- * and on rollbacks) lives in a parallel cold lane, keeping RobEntry at
- * ~1/3 the size so the forwarding chain walks stride hot fields only —
- * the same split-lane layout as the cache arrays.
+ * The per-entry program snapshot (ProgSnapshot, 64 bytes, read only at
+ * retirement and on rollbacks) lives in a parallel cold lane, so the
+ * forwarding chain walks stride hot fields only — the same split-lane
+ * layout as the cache arrays.
  *
  * Two slot masks, one bit per physical ring slot, name the entries the
  * core's per-tick walks care about, so those walks visit set bits

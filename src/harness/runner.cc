@@ -215,52 +215,44 @@ warmSharerMask(Addr block, std::uint32_t num_nodes, double sharer_fraction)
     return sharers;
 }
 
+namespace {
+
+/** Owner argument of a warm block primed Shared (no single owner). */
+constexpr NodeId kNoOwner = ~NodeId{0};
+
+/**
+ * Visit warmSystem's warm set in priming order: @p fn(block, owner)
+ * for a block primed Exclusive at @p owner, @p fn(block, kNoOwner) for
+ * one primed Shared.
+ */
+template <typename Fn>
 void
-warmSystem(System& sys, const SyntheticParams& params,
-           double sharer_fraction)
+forEachWarmBlock(const SyntheticParams& params, std::uint32_t n,
+                 std::uint32_t l2_blocks, Fn&& fn)
 {
-    const std::uint32_t n = sys.numCores();
-    const BlockData zero{};
     // Never prime more than fits comfortably: overflowing the L2 here
     // would trigger an eviction storm before the run even starts.
-    const std::uint32_t l2_blocks = static_cast<std::uint32_t>(
-        sys.agent(0).params().l2Size / kBlockBytes);
     const std::uint32_t priv_cap = l2_blocks / 2;
     const std::uint32_t shared_cap = l2_blocks / 4;
-
-    const HomeMap& homes = sys.homeMap();
-    const auto prime_shared = [&](Addr block) {
-        const SharerSet sharers =
-            warmSharerMask(block, n, sharer_fraction);
-        sharers.forEach([&](NodeId t) {
-            sys.agent(t).primeBlock(block, CoherenceState::Shared, zero);
-        });
-        sys.directory(homes.homeOf(block)).primeShared(block, sharers);
-    };
 
     // Private working sets: Exclusive at their owning core.
     const std::uint32_t priv =
         std::min<std::uint32_t>(params.privateBlocks, priv_cap);
     for (std::uint32_t t = 0; t < n; ++t) {
         const Addr base = kPrivateRegion + t * kPrivateStride;
-        for (std::uint32_t b = 0; b < priv; ++b) {
-            const Addr block = base + static_cast<Addr>(b) * kBlockBytes;
-            sys.agent(t).primeBlock(block, CoherenceState::Exclusive,
-                                    zero);
-            sys.directory(homes.homeOf(block)).primeOwned(block, t);
-        }
+        for (std::uint32_t b = 0; b < priv; ++b)
+            fn(base + static_cast<Addr>(b) * kBlockBytes, t);
     }
 
-    // Shared region and lock words: Shared at the (full or
-    // sharer-precise) warm sharer set.
+    // Shared region and lock words: Shared.
     const std::uint32_t shared =
         std::min<std::uint32_t>(params.sharedBlocks, shared_cap);
     for (std::uint32_t b = 0; b < shared; ++b)
-        prime_shared(kSharedRegion + static_cast<Addr>(b) * kBlockBytes);
+        fn(kSharedRegion + static_cast<Addr>(b) * kBlockBytes, kNoOwner);
     const std::uint32_t locks =
         std::min<std::uint32_t>(params.numLocks, l2_blocks / 16);
     for (std::uint32_t l = 0; l < locks; ++l)
-        prime_shared(lockAddr(l));
+        fn(lockAddr(l), kNoOwner);
 
     // Lock-protected data: migratory; start at a round-robin owner.
     for (std::uint32_t l = 0; l < locks; ++l) {
@@ -268,13 +260,47 @@ warmSystem(System& sys, const SyntheticParams& params,
         const Addr base = kLockDataRegion +
                           static_cast<Addr>(l) * params.lockDataBlocks *
                               kBlockBytes;
-        for (std::uint32_t b = 0; b < params.lockDataBlocks; ++b) {
-            const Addr block = base + static_cast<Addr>(b) * kBlockBytes;
+        for (std::uint32_t b = 0; b < params.lockDataBlocks; ++b)
+            fn(base + static_cast<Addr>(b) * kBlockBytes, owner);
+    }
+}
+
+} // namespace
+
+void
+warmSystem(System& sys, const SyntheticParams& params,
+           double sharer_fraction)
+{
+    const std::uint32_t n = sys.numCores();
+    const BlockData zero{};
+    const std::uint32_t l2_blocks = static_cast<std::uint32_t>(
+        sys.agent(0).params().l2Size / kBlockBytes);
+    const HomeMap& homes = sys.homeMap();
+
+    // Size each directory slice's table once for the blocks it homes.
+    std::vector<std::size_t> homed(n, 0);
+    forEachWarmBlock(params, n, l2_blocks, [&](Addr block, NodeId) {
+        ++homed[homes.homeOf(block)];
+    });
+    for (std::uint32_t i = 0; i < n; ++i)
+        sys.directory(i).reserve(homed[i]);
+
+    forEachWarmBlock(params, n, l2_blocks, [&](Addr block, NodeId owner) {
+        DirectorySlice& home = sys.directory(homes.homeOf(block));
+        if (owner != kNoOwner) {
             sys.agent(owner).primeBlock(block, CoherenceState::Exclusive,
                                         zero);
-            sys.directory(homes.homeOf(block)).primeOwned(block, owner);
+            home.primeOwned(block, owner);
+            return;
         }
-    }
+        // Shared at the (full or sharer-precise) warm sharer set.
+        const SharerSet sharers =
+            warmSharerMask(block, n, sharer_fraction);
+        sharers.forEach([&](NodeId t) {
+            sys.agent(t).primeBlock(block, CoherenceState::Shared, zero);
+        });
+        home.primeShared(block, sharers);
+    });
 }
 
 RunResult

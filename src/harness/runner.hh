@@ -94,6 +94,8 @@ struct RunConfig
  * set: private regions Exclusive at their owner, the shared region and
  * lock words Shared at every node, lock-data chunks at a round-robin
  * owner. Stands in for the warm checkpoints of the SimFlex methodology.
+ * Each directory slice's table is sized once, before priming, for the
+ * blocks this warm set homes there.
  *
  * @p sharer_fraction selects the sharer-precise variant: with a value
  * in (0, 1], each shared/lock block is primed Shared at only

@@ -19,8 +19,8 @@ isPow2(std::uint64_t v)
 } // namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
-                       std::string name)
-    : ways_(ways), name_(std::move(name))
+                       std::string name, CacheLevel level)
+    : ways_(ways), level_(level), name_(std::move(name))
 {
     if (ways == 0 || size_bytes % (static_cast<std::uint64_t>(ways) *
                                    kBlockBytes) != 0) {
@@ -39,8 +39,10 @@ CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
         static_cast<std::size_t>(num_sets_) * ways_;
     tags_.resize(frames);
     data_.resize(frames);
-    gen_.resize(frames, 0);
     mru_.resize(num_sets_, 0);
+    if (level_ != CacheLevel::L1)
+        return;
+    gen_.resize(frames, 0);
     // Worst case every frame is marked in a context: preallocating to
     // that bound keeps the speculative index allocation-free in steady
     // state (tests/alloc_steadystate_test.cc).
@@ -152,6 +154,7 @@ CacheArray::setSpecBit(std::uint32_t frame, std::uint32_t ctx,
                        bool written)
 {
     IF_HOT;
+    IF_DBG_ASSERT(level_ == CacheLevel::L1 && "spec bit on a non-L1 array");
     IF_DBG_ASSERT(ctx < kMaxCheckpoints);
     IF_DBG_ASSERT(tags_[frame].valid() &&
            "speculative bit on an invalid line");
@@ -199,7 +202,8 @@ CacheArray::installFrame(std::uint32_t frame, Addr block_addr,
     tag.blockAddr = blockAlign(block_addr);
     tag.state = s;
     tag.dirty = 0;
-    ++gen_[frame];
+    if (level_ == CacheLevel::L1)
+        ++gen_[frame];
     ++mutations_;
     mru_[frameSet(frame)] =
         static_cast<std::uint8_t>(frame % ways_);
@@ -213,15 +217,18 @@ CacheArray::invalidateFrame(std::uint32_t frame)
     tag.blockAddr = kInvalidTagAddr;   // keep invalid frames unmatchable
     tag.state = CoherenceState::Invalid;
     tag.dirty = 0;
-    for (std::uint32_t c = 0; c < kMaxCheckpoints; ++c)
-        clearSpecCtx(frame, c);
-    ++gen_[frame];
+    if (level_ == CacheLevel::L1) {
+        for (std::uint32_t c = 0; c < kMaxCheckpoints; ++c)
+            clearSpecCtx(frame, c);
+        ++gen_[frame];
+    }
     ++mutations_;
 }
 
 void
 CacheArray::flashClearSpecBits(std::uint32_t ctx)
 {
+    IF_DBG_ASSERT(level_ == CacheLevel::L1 && "flash op on a non-L1 array");
     IF_DBG_ASSERT(ctx < kMaxCheckpoints);
 #ifndef NDEBUG
     verifySpecIndex();
@@ -242,6 +249,7 @@ CacheArray::flashClearSpecBits(std::uint32_t ctx)
 void
 CacheArray::flashInvalidateSpecWritten(std::uint32_t ctx)
 {
+    IF_DBG_ASSERT(level_ == CacheLevel::L1 && "flash op on a non-L1 array");
     IF_DBG_ASSERT(ctx < kMaxCheckpoints);
 #ifndef NDEBUG
     verifySpecIndex();

@@ -3,6 +3,13 @@
  * Set-associative cache array with LRU replacement and, for the L1D,
  * InvisiFence's per-block speculatively-read/written bits.
  *
+ * The paper keeps its speculative state in the L1 alone (Section 3.1),
+ * so the lanes that serve it exist only in an L1-level array: the
+ * per-frame handle generation, the speculative index and the flash
+ * scratch. An L2-level array holds tags, data and the MRU predictor,
+ * and debug builds assert that no handle, spec-bit or flash call
+ * reaches it.
+ *
  * The array is stored gem5-style as two parallel lanes. The hot *tag
  * lane* packs everything a lookup or victim scan needs into 16 bytes per
  * way ({block address, LRU stamp, state, dirty, packed spec bits}), laid
@@ -43,6 +50,13 @@ namespace invisifence {
 
 /** Maximum number of in-flight speculation contexts (checkpoints). */
 constexpr std::uint32_t kMaxCheckpoints = 2;
+
+/** Hierarchy level of a CacheArray: which lanes it allocates. */
+enum class CacheLevel : std::uint8_t
+{
+    L1,   //!< tags, data, MRU, handle generations, speculative index
+    L2,   //!< tags, data, MRU only
+};
 
 /** Stable coherence states of a block within a cache level. */
 enum class CoherenceState : std::uint8_t
@@ -99,7 +113,8 @@ static_assert(sizeof(CacheTag) == 16,
 /**
  * Physically indexed, set-associative array with true-LRU replacement.
  *
- * Used for both the L1D (with speculative bits) and the private L2.
+ * Used for both the L1D (CacheLevel::L1, with speculative bits) and the
+ * private L2 (CacheLevel::L2).
  */
 class CacheArray
 {
@@ -160,10 +175,13 @@ class CacheArray
         /** Block payload in the cold data lane. */
         BlockData& data() const { return arr_->data_[frame_]; }
 
-        /** Generation-stamped reference to this frame, for pinning. */
+        /** Generation-stamped reference to this frame, for pinning
+         *  (L1-level arrays only). */
         Handle
         handle() const
         {
+            IF_DBG_ASSERT(arr_->level_ == CacheLevel::L1 &&
+                          "handle on a non-L1 array");
             return {frame_, arr_->gen_[frame_]};
         }
 
@@ -222,9 +240,10 @@ class CacheArray
      * @param size_bytes total capacity
      * @param ways associativity
      * @param name stat prefix, e.g. "core3.l1d"
+     * @param level which lanes to allocate (see CacheLevel)
      */
     CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
-               std::string name);
+               std::string name, CacheLevel level);
 
     /** Line holding @p addr, or a null Line on miss. No LRU update.
      *  Defined inline below: this is the hottest function in the
@@ -241,6 +260,7 @@ class CacheArray
     Line
     resolve(Handle h)
     {
+        IF_DBG_ASSERT(level_ == CacheLevel::L1 && "resolve on a non-L1 array");
         if (h.null() || gen_[h.frame] != h.generation ||
             !tags_[h.frame].valid()) {
             return {};
@@ -292,7 +312,7 @@ class CacheArray
     std::uint32_t
     countSpeculative(std::uint32_t ctx) const
     {
-        IF_DBG_ASSERT(ctx < kMaxCheckpoints);
+        IF_DBG_ASSERT(level_ == CacheLevel::L1 && ctx < kMaxCheckpoints);
         return static_cast<std::uint32_t>(specFrames_[ctx].size());
     }
 
@@ -350,17 +370,20 @@ class CacheArray
 
     std::uint32_t num_sets_;
     std::uint32_t ways_;
+    CacheLevel level_;
     std::string name_;
     std::vector<CacheTag> tags_;     //!< hot lane, set-major
     std::vector<BlockData> data_;    //!< cold lane, parallel to tags_
-    std::vector<std::uint32_t> gen_; //!< per-frame handle generation
     std::vector<std::uint8_t> mru_;  //!< per-set predicted way
+    /** @{ L1-level lanes; empty in an L2-level array. */
+    std::vector<std::uint32_t> gen_; //!< per-frame handle generation
     /** Incremental speculative index: frames with any bit in ctx, plus
      *  each frame's position in that list (kNoFrame when absent). All
      *  storage is preallocated to worst case — no steady-state allocs. */
     std::vector<std::uint32_t> specFrames_[kMaxCheckpoints];
     std::vector<std::uint32_t> specPos_[kMaxCheckpoints];
     std::vector<std::uint32_t> flashScratch_;
+    /** @} */
     std::uint32_t lruCounter_ = 0;
     std::uint64_t mutations_ = 0;
 };

@@ -13,9 +13,10 @@
  *  - power-of-two capacity, multiplicative-hash home slot, linear probe;
  *  - deletion uses backward-shift (no tombstones, so probe chains never
  *    degrade and load factor alone bounds probe length);
- *  - growth doubles the table and rehashes; with capacity preallocated
- *    from config this happens during warmup only, keeping the steady
- *    state allocation-free (tests/alloc_steadystate_test.cc);
+ *  - growth doubles the table and rehashes; a table reserved up front
+ *    for its known population (reserve()), or grown during warmup,
+ *    keeps the steady state allocation-free
+ *    (tests/alloc_steadystate_test.cc);
  *  - the all-ones key is reserved as the empty sentinel. Block-aligned
  *    addresses (and the MSHR index's tagged keys, which only use the
  *    low alignment bits) can never collide with it.
@@ -148,6 +149,23 @@ class FlatAddrMap
         }
     }
 
+    /**
+     * Size the table once so @p n keys fit without growth (load factor
+     * at most 1/2). A no-op when the table is already that large. On a
+     * fresh table this is one allocation per lane and no rehash.
+     */
+    IF_COLD_FN void
+    reserve(std::size_t n)
+    {
+        IF_COLD_ALLOC("set-up sizing: called once before the run, from "
+                      "the number of keys the table is known to hold");
+        std::size_t cap = capacity();
+        while (cap < n * 2)
+            cap *= 2;
+        if (cap != capacity())
+            rehashTo(cap);
+    }
+
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return keys_.size(); }
 
@@ -165,8 +183,15 @@ class FlatAddrMap
         IF_COLD_ALLOC("open-addressing table doubling: the table only "
                       "grows until the live-key high-water mark; "
                       "steady-state insert/erase churn stays below it");
-        std::vector<Addr> old_keys(keys_.size() * 2, kEmptyKey);
-        std::vector<V> old_vals(vals_.size() * 2);
+        rehashTo(capacity() * 2);
+    }
+
+    /** Move every key into a fresh table of power-of-two @p cap. */
+    void
+    rehashTo(std::size_t cap)
+    {
+        std::vector<Addr> old_keys(cap, kEmptyKey);
+        std::vector<V> old_vals(cap);
         old_keys.swap(keys_);
         old_vals.swap(vals_);
         mask_ = keys_.size() - 1;

@@ -22,7 +22,9 @@
 
 #if defined(__GLIBC__)
 #include <execinfo.h>
+#include <malloc.h>
 #define INVISIFENCE_HAVE_BACKTRACE 1
+#define INVISIFENCE_HAVE_USABLE_SIZE 1
 #endif
 
 #include "core/invisifence.hh"
@@ -38,6 +40,8 @@
 namespace {
 
 std::uint64_t g_allocCount = 0;
+/** Live heap bytes through operator new (usable sizes; glibc only). */
+std::size_t g_liveBytes = 0;
 bool g_captureSites = false;
 
 constexpr int kSiteDepth = 8;
@@ -117,8 +121,12 @@ operator new(std::size_t size)
     ++g_allocCount;
     if (g_captureSites)
         recordSite();
-    if (void* p = std::malloc(size))
+    if (void* p = std::malloc(size)) {
+#ifdef INVISIFENCE_HAVE_USABLE_SIZE
+        g_liveBytes += malloc_usable_size(p);
+#endif
         return p;
+    }
     throw std::bad_alloc();
 }
 
@@ -128,10 +136,23 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void
+operator delete(void* p) noexcept
+{
+#ifdef INVISIFENCE_HAVE_USABLE_SIZE
+    if (p != nullptr)
+        g_liveBytes -= malloc_usable_size(p);
+#endif
+    std::free(p);
+}
+
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
 
 #pragma GCC diagnostic pop
 
@@ -324,6 +345,90 @@ TEST(SteadyStateAllocs, ZeroPerCycleAt64And256Cores)
                 << " cores under " << implKindName(kind);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Host-memory budget of a built and warmed scale machine.
+// ---------------------------------------------------------------------
+
+/** Bytes per directory-table slot: an 8-byte key and a DirEntry (state,
+ *  SharerSet, owner and grant tag; the same layout as EntryView, whose
+ *  padding the grant tag fills). */
+constexpr std::size_t kDirSlotBytes =
+    sizeof(Addr) + sizeof(DirectorySlice::EntryView);
+
+/** Everything but the cache lanes and directory tables (cores, ROB and
+ *  store-buffer rings, MSHRs, event and message slabs, the network,
+ *  stat names), per core. */
+constexpr std::size_t kSlackPerCore = 160 * 1024;
+
+/**
+ * Build and warm the fig13 scale machine (ZipfKV under Invisi_sc,
+ * hashed homes, 512 KiB L2) at @p cores cores and check its live heap
+ * against a budget summed from the lanes the model needs: per agent,
+ * the L1 and L2 tag and data lanes plus the L1's speculative lanes
+ * (handle generation, two speculative index lists with positions, the
+ * flash scratch); per slice, a directory table at load at least 1/4
+ * (reserve rounds 2 x entries up to a power of two) over the blocks the
+ * warm start homes; plus kSlackPerCore. A lane allocated where the
+ * model never uses it, or a table sized beyond the warm set, fails
+ * here rather than only in a benchmark row.
+ */
+void
+expectHostMemoryWithinBudget(std::uint32_t cores)
+{
+#ifndef INVISIFENCE_HAVE_USABLE_SIZE
+    GTEST_SKIP() << "live-byte accounting needs malloc_usable_size";
+#endif
+    SystemParams sp = SystemParams::bench();
+    sp.numCores = cores;
+    sp.dirHashHome = true;
+    sp.agent.l2Size = 512 * 1024;
+    sp.net.dimX = 0;
+    sp.net.dimY = 0;
+    const Workload& wl = workloadByName("ZipfKV");
+    const SyntheticParams& p = wl.params;
+
+    const std::size_t l1_frames = sp.agent.l1Size / kBlockBytes;
+    const std::size_t l2_frames = sp.agent.l2Size / kBlockBytes;
+    const std::size_t line_bytes = sizeof(CacheTag) + sizeof(BlockData);
+    const std::size_t spec_bytes =
+        sizeof(std::uint32_t) * (1 + 2 * kMaxCheckpoints + 1);
+    const std::size_t cache_bytes =
+        cores * (l1_frames * (line_bytes + spec_bytes) +
+                 l2_frames * line_bytes);
+    // The warm set, as warmSystem primes it.
+    const std::size_t locks =
+        std::min<std::size_t>(p.numLocks, l2_frames / 16);
+    const std::size_t warm_blocks =
+        cores * std::min<std::size_t>(p.privateBlocks, l2_frames / 2) +
+        std::min<std::size_t>(p.sharedBlocks, l2_frames / 4) + locks +
+        locks * p.lockDataBlocks;
+    const std::size_t dir_bytes = 4 * warm_blocks * kDirSlotBytes;
+    const std::size_t budget =
+        cache_bytes + dir_bytes + cores * kSlackPerCore;
+
+    const std::size_t live0 = g_liveBytes;
+    std::vector<std::unique_ptr<ThreadProgram>> programs;
+    for (std::uint32_t t = 0; t < cores; ++t)
+        programs.push_back(std::make_unique<SyntheticProgram>(p, t, 1));
+    System sys(sp, std::move(programs), ImplKind::InvisiSC);
+    warmSystem(sys, p);
+    const std::size_t used = g_liveBytes - live0;
+    EXPECT_LE(used, budget)
+        << "live heap " << used << " B over budget: lanes " << cache_bytes
+        << " + directory " << dir_bytes << " + slack "
+        << cores * kSlackPerCore;
+}
+
+TEST(HostMemory, ScaleMachineAt64CoresStaysWithinLaneBudget)
+{
+    expectHostMemoryWithinBudget(64);
+}
+
+TEST(HostMemoryStress, ScaleMachineAt256CoresStaysWithinLaneBudget)
+{
+    expectHostMemoryWithinBudget(256);
 }
 
 // ---------------------------------------------------------------------

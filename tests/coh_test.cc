@@ -387,20 +387,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------ flat directory growth under traffic
 
-TEST(DirectoryFlat, GrowthUnderTrafficMatchesDefaultCapacity)
+TEST(DirectoryFlat, GrowthFromDefaultMatchesReservedUpFront)
 {
-    // Two identical rigs, one with the flat per-block table at a
-    // deliberately tiny capacity (so it grows and rehashes under live
-    // traffic) and one at the default capacity (which never grows
-    // here), driven by the same deterministic request/prime stream.
+    // Two identical rigs driven by the same deterministic request/prime
+    // stream: one slice set grows its flat per-block table from the
+    // default capacity (doubling and rehashing under live traffic), the
+    // other reserves room for every block up front and never grows.
     // Every directory slice must end with the same state and counters.
     constexpr std::uint32_t kNodes = 4;
-    constexpr std::uint32_t kBlocks = 192;   // >> 16-slot initial table
-    DirectoryParams grow_dp{40, 5};
-    grow_dp.flatCapacity = 16;
-    const DirectoryParams ref_dp{40, 5};
-    Rig grow_rig(kNodes, AgentParams{}, grow_dp);
-    Rig ref_rig(kNodes, AgentParams{}, ref_dp);
+    constexpr std::uint32_t kBlocks = 192;   // 56 per slice >> 64/2 slots
+    const DirectoryParams dp{40, 5};
+    Rig grow_rig(kNodes, AgentParams{}, dp);
+    Rig ref_rig(kNodes, AgentParams{}, dp);
+    for (NodeId n = 0; n < kNodes; ++n)
+        ref_rig.dirs[n]->reserve(kBlocks + 32);
 
     // Prime a slab of blocks outside the traffic range identically.
     for (std::uint32_t b = 0; b < 32; ++b) {

@@ -585,8 +585,9 @@ TEST(SpecOverflow, StolenBlockEndsTheRefusal)
     // L2 copy is invalidated. The next attempt finds the block gone and
     // wakes the load, whose refetch (forwarded by the writer) arrives at
     // 3396 and is refused in a second episode until its attempt 200
-    // hard-aborts at 5396. Every value below is the reference
-    // behaviour.
+    // hard-aborts at 5396. A network fill counts when it installs, not
+    // when it arrives: the refetch counts once, at its install at 5406.
+    // Every value below is the reference behaviour.
     const OverflowTrace t = runOverflowPair(3000, ImplKind::InvisiSC,
                                             lateWriter(taddr(417)));
     EXPECT_EQ(t.fills[0],
@@ -594,7 +595,7 @@ TEST(SpecOverflow, StolenBlockEndsTheRefusal)
                   3014, 3015, 3016, 3017, 3018, 3019, 3020, 3021, 3052,
                   3052, 3053, 3053, 3054, 3054, 3055, 3055, 3056, 3056,
                   3057, 3057, 3058, 3058, 3059, 3059, 3081, 3112, 3132,
-                  3142, 3163, 3173, 3194, 3396, 6111, 6162, 6244, 6265,
+                  3142, 3163, 3173, 3194, 5406, 6111, 6162, 6244, 6265,
                   6275, 6285, 6296, 6306, 6316, 6326}));
     EXPECT_EQ(t.deferredFills[0], 215u);
     EXPECT_EQ(t.deferredFillEpisodes[0], 2u);
@@ -615,17 +616,18 @@ TEST(SpecOverflow, CommitInsideResolveSpecEvictionEndsTheRefusal)
     // full of a new chunk's speculative lines, and resolveSpecEviction
     // commits that chunk: the fill installs and counts one forced
     // eviction more than refusals. Core 1 does the same at 4439, ten
-    // cycles after its next hard abort. Every value below is the
-    // reference behaviour.
+    // cycles after its next hard abort. Network fills refused on arrival
+    // (419-421, 3089) count when they install (2420-2429, 4749). Every
+    // value below is the reference behaviour.
     const OverflowTrace t = runOverflowPair(400, ImplKind::Continuous);
     EXPECT_EQ(t.fills[0],
               (std::vector<Cycle>{
-                  414,  415,  415,  416,  417,  417,  418,  419,  419,
-                  420,  421,  421,  452,  452,  453,  454,  454,  455,
-                  456,  456,  457,  458,  458,  459,  2423, 2423, 2424,
-                  2424, 2424, 2425, 2425, 2426, 2427, 2427, 2428, 2428,
+                  414,  415,  415,  416,  417,  417,  418,  419,  452,
+                  452,  453,  454,  454,  455,  456,  456,  457,  458,
+                  458,  459,  2420, 2421, 2421, 2423, 2423, 2424, 2424,
+                  2424, 2425, 2425, 2426, 2427, 2427, 2428, 2428, 2429,
                   2429, 2429, 2430, 2430, 2431, 2439, 2450, 2687, 2697,
-                  2707, 2718, 2728, 2738, 3089, 4754, 4758, 5052, 5083,
+                  2707, 2718, 2728, 2738, 4749, 4754, 4758, 5052, 5083,
                   5093, 5103, 5113, 5124, 5134, 5144, 5154, 5165, 5175,
                   5185, 5195, 5206, 5216}));
     EXPECT_EQ(t.deferredFills[0], 1168u);

@@ -98,7 +98,7 @@ install(CacheArray& c, Addr addr,
 
 TEST(CacheArray, MissThenInsertHits)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     EXPECT_FALSE(c.lookup(0x1000));
     install(c, 0x1000, CoherenceState::Exclusive);
     ASSERT_TRUE(c.lookup(0x1000));
@@ -107,7 +107,7 @@ TEST(CacheArray, MissThenInsertHits)
 
 TEST(CacheArray, SetIndexWrapsOnSets)
 {
-    CacheArray c(4096, 2, "t");   // 32 sets
+    CacheArray c(4096, 2, "t", CacheLevel::L1);   // 32 sets
     EXPECT_EQ(c.numSets(), 32u);
     EXPECT_EQ(c.setIndex(0), c.setIndex(32ull * kBlockBytes));
     EXPECT_NE(c.setIndex(0), c.setIndex(kBlockBytes));
@@ -122,7 +122,7 @@ TEST(CacheArray, TagLaneStaysCompact)
 
 TEST(CacheArray, LruVictimIsLeastRecentlyTouched)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     const Addr a = 0;
     const Addr b = 32ull * kBlockBytes;    // same set as a
     install(c, a);
@@ -134,7 +134,7 @@ TEST(CacheArray, LruVictimIsLeastRecentlyTouched)
 
 TEST(CacheArray, VictimAvoidsPredicate)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     const Addr a = 0, b = 32ull * kBlockBytes;
     install(c, a);
     install(c, b);
@@ -157,7 +157,7 @@ TEST(CacheArray, VictimAvoidsPredicate)
 
 TEST(CacheArray, ForcedWhenAllWaysAvoided)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     const Addr a = 0, b = 32ull * kBlockBytes;
     for (Addr addr : {a, b}) {
         CacheArray::Line v =
@@ -179,7 +179,7 @@ TEST(CacheArray, ForcedWhenAllWaysAvoided)
 
 TEST(CacheArray, FlashClearSpecBits)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     CacheArray::Line v = install(c, 0, CoherenceState::Modified);
     v.setSpecRead(0);
     v.setSpecWritten(0);
@@ -193,7 +193,7 @@ TEST(CacheArray, FlashClearSpecBits)
 
 TEST(CacheArray, FlashInvalidateOnlySpecWritten)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     install(c, 0, CoherenceState::Modified).setSpecWritten(0);
     install(c, kBlockBytes).setSpecRead(0);
 
@@ -205,7 +205,7 @@ TEST(CacheArray, FlashInvalidateOnlySpecWritten)
 
 TEST(CacheArray, CountSpeculativeIsIncremental)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     for (int i = 0; i < 4; ++i) {
         CacheArray::Line v =
             install(c, static_cast<Addr>(i) * kBlockBytes);
@@ -225,7 +225,7 @@ TEST(CacheArray, CountSpeculativeIsIncremental)
 
 TEST(CacheArray, InvalidateClearsEverything)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     CacheArray::Line l = install(c, 0, CoherenceState::Modified);
     l.setDirty(true);
     l.setSpecRead(0);
@@ -242,7 +242,7 @@ TEST(CacheArray, MutationsMoveOnlyWhenARefusalCanEnd)
     // mutations() stamps what an overflow refusal rests on: frame
     // identity and cleared speculative bits. Everything else, setting a
     // speculative bit included, must leave it alone.
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     const Addr b = 32ull * kBlockBytes;   // same set as block 0
     std::uint64_t m = c.mutations();
     const auto moved = [&]() {
@@ -294,7 +294,7 @@ TEST(CacheArray, MutationsMoveOnlyWhenARefusalCanEnd)
 
 TEST(CacheArrayHandle, SurvivesStateAndLruChanges)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     CacheArray::Line l = install(c, 0x2000, CoherenceState::Exclusive);
     const CacheArray::Handle h = l.handle();
     l.setState(CoherenceState::Modified);
@@ -310,7 +310,7 @@ TEST(CacheArrayHandle, SurvivesStateAndLruChanges)
 
 TEST(CacheArrayHandle, InvalidateKillsHandle)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     const CacheArray::Handle h = install(c, 0x2000).handle();
     c.lookup(0x2000).invalidate();
     EXPECT_FALSE(c.resolve(h));
@@ -318,7 +318,8 @@ TEST(CacheArrayHandle, InvalidateKillsHandle)
 
 TEST(CacheArrayHandle, ReinstallDoesNotResurrectHandle)
 {
-    CacheArray c(4096, 1, "t");   // direct-mapped: same frame reused
+    // Direct-mapped: the same frame is reused.
+    CacheArray c(4096, 1, "t", CacheLevel::L1);
     const CacheArray::Handle h = install(c, 0x2000).handle();
     c.lookup(0x2000).invalidate();
     install(c, 0x2000);           // same block, same frame, new life
@@ -328,7 +329,7 @@ TEST(CacheArrayHandle, ReinstallDoesNotResurrectHandle)
 
 TEST(CacheArrayHandle, VictimInstallKillsDisplacedHandle)
 {
-    CacheArray c(4096, 1, "t");   // 64 sets, direct-mapped
+    CacheArray c(4096, 1, "t", CacheLevel::L1);   // 64 sets, 1 way
     const CacheArray::Handle h = install(c, 0).handle();
     // Same set, different block: displaces the pinned line.
     CacheArray::Line v = c.findVictim(64ull * kBlockBytes);
@@ -340,7 +341,7 @@ TEST(CacheArrayHandle, VictimInstallKillsDisplacedHandle)
 
 TEST(CacheArrayHandle, FlashInvalidateKillsSpecWrittenHandle)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     CacheArray::Line w = install(c, 0, CoherenceState::Modified);
     w.setSpecWritten(0);
     CacheArray::Line r = install(c, kBlockBytes);
@@ -354,7 +355,7 @@ TEST(CacheArrayHandle, FlashInvalidateKillsSpecWrittenHandle)
 
 TEST(CacheArrayHandle, NullHandleResolvesNull)
 {
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     EXPECT_FALSE(c.resolve(CacheArray::Handle{}));
 }
 
@@ -363,7 +364,7 @@ TEST(CacheArrayHandle, InvalidFrameNeverResolves)
     // A handle pinned to a frame with no live block (an empty victim
     // frame, or taken after an invalidate bumped the generation) must
     // not resolve, even though the generation stamp matches.
-    CacheArray c(4096, 2, "t");
+    CacheArray c(4096, 2, "t", CacheLevel::L1);
     const CacheArray::Line empty = c.findVictim(0x3000);
     ASSERT_FALSE(empty.valid());
     EXPECT_FALSE(c.resolve(empty.handle()));
@@ -372,6 +373,48 @@ TEST(CacheArrayHandle, InvalidFrameNeverResolves)
     l.invalidate();
     EXPECT_FALSE(c.resolve(l.handle()));   // taken after invalidation
 }
+
+TEST(CacheArrayLevel, L2ArrayKeepsTagsDataAndLru)
+{
+    // An L2-level array allocates no speculative lanes, yet every
+    // non-speculative operation behaves as in an L1-level array.
+    CacheArray l1(4096, 2, "l1", CacheLevel::L1);
+    CacheArray l2(4096, 2, "l2", CacheLevel::L2);
+    for (CacheArray* c : {&l1, &l2}) {
+        CacheArray::Line a = install(*c, 0, CoherenceState::Modified);
+        a.data().writeWord(8, 77);
+        a.setDirty(true);
+        install(*c, 32 * kBlockBytes);   // same set, second way
+        c->touch(a);
+        const std::uint64_t before = c->mutations();
+        CacheArray::Line v = c->findNonSpeculativeVictim(64 * kBlockBytes,
+                                                         nullptr);
+        EXPECT_EQ(v.blockAddr(), 32 * kBlockBytes);   // LRU way
+        v.invalidate();
+        EXPECT_EQ(c->mutations(), before + 1);
+        EXPECT_FALSE(c->lookup(32 * kBlockBytes));
+        const CacheArray::Line hit = c->lookup(0);
+        ASSERT_TRUE(hit);
+        EXPECT_TRUE(hit.dirty());
+        EXPECT_EQ(hit.data().readWord(8), 77u);
+    }
+}
+
+#ifndef NDEBUG
+using CacheArrayDeathTest = ::testing::Test;
+
+TEST(CacheArrayDeathTest, SpeculativeCallsOnAnL2ArrayAssert)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CacheArray l2(4096, 2, "l2", CacheLevel::L2);
+    const CacheArray::Line l = install(l2, 0);
+    EXPECT_DEATH(l.handle(), "non-L1");
+    EXPECT_DEATH(l.setSpecRead(0), "non-L1");
+    EXPECT_DEATH(l2.resolve(CacheArray::Handle{}), "non-L1");
+    EXPECT_DEATH(l2.flashClearSpecBits(0), "non-L1");
+    EXPECT_DEATH(l2.flashInvalidateSpecWritten(0), "non-L1");
+}
+#endif
 
 // --------------------------------------- randomized reference-model test
 
@@ -526,7 +569,7 @@ TEST_P(CacheArrayModel, MatchesNaiveScanOracle)
     const auto [ways, seed, near_wrap] = GetParam();
     const std::uint32_t sets = 16;
     CacheArray fast(static_cast<std::uint64_t>(sets) * ways * kBlockBytes,
-                    ways, "model");
+                    ways, "model", CacheLevel::L1);
     OracleArray oracle(sets, ways);
     if (near_wrap)
         fast.debugSetLruCounter(~std::uint32_t{0} - 700);
@@ -686,67 +729,59 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(VictimCache, InsertExtractRoundTrip)
 {
     VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0x4000;
-    e.state = CoherenceState::Shared;
-    vc.insert(e);
-    VictimCache::Entry out;
-    EXPECT_TRUE(vc.extract(0x4000, &out));
-    EXPECT_EQ(out.blockAddr, 0x4000u);
-    EXPECT_FALSE(vc.extract(0x4000, &out));   // removed on extract
+    vc.insert(0x4000);
+    EXPECT_TRUE(vc.contains(0x4000));
+    EXPECT_TRUE(vc.contains(0x4008));          // any address in the block
+    EXPECT_TRUE(vc.extract(0x4000));
+    EXPECT_FALSE(vc.contains(0x4000));         // removed on extract
+    EXPECT_FALSE(vc.extract(0x4000));
+    EXPECT_EQ(vc.size(), 0u);
 }
 
 TEST(VictimCache, FifoDisplacement)
 {
     VictimCache vc(2);
-    for (Addr a : {Addr{0x100 * 64}, Addr{0x200 * 64}, Addr{0x300 * 64}}) {
-        VictimCache::Entry e;
-        e.blockAddr = a;
-        e.state = CoherenceState::Shared;
-        vc.insert(e);
-    }
+    for (Addr a : {Addr{0x100 * 64}, Addr{0x200 * 64}, Addr{0x300 * 64}})
+        vc.insert(a);
     EXPECT_EQ(vc.size(), 2u);
     EXPECT_FALSE(vc.contains(0x100 * 64));    // oldest displaced
     EXPECT_TRUE(vc.contains(0x200 * 64));
     EXPECT_TRUE(vc.contains(0x300 * 64));
 }
 
-TEST(VictimCache, ReinsertReplaces)
+TEST(VictimCache, ReinsertReplacesAndRejuvenates)
 {
-    VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0x40;
-    e.state = CoherenceState::Shared;
-    e.data.writeWord(0, 1);
-    vc.insert(e);
-    e.data.writeWord(0, 2);
-    vc.insert(e);
-    EXPECT_EQ(vc.size(), 1u);
-    ASSERT_NE(vc.peekData(0x40), nullptr);
-    EXPECT_EQ(vc.peekData(0x40)->readWord(0), 2u);
+    // A re-inserted block keeps one entry and becomes the youngest, so
+    // the next displacement takes the entry inserted after it.
+    VictimCache vc(2);
+    vc.insert(0x40);
+    vc.insert(0x80);
+    vc.insert(0x40);
+    EXPECT_EQ(vc.size(), 2u);
+    vc.insert(0xc0);
+    EXPECT_TRUE(vc.contains(0x40));
+    EXPECT_FALSE(vc.contains(0x80));
+    EXPECT_TRUE(vc.contains(0xc0));
 }
 
 TEST(VictimCache, InvalidateRemoves)
 {
     VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0x80;
-    e.state = CoherenceState::Exclusive;
-    vc.insert(e);
+    vc.insert(0x80);
+    vc.insert(0x100);
     EXPECT_TRUE(vc.invalidate(0x80));
     EXPECT_FALSE(vc.invalidate(0x80));
     EXPECT_FALSE(vc.contains(0x80));
+    EXPECT_TRUE(vc.contains(0x100));           // others untouched
+    EXPECT_EQ(vc.size(), 1u);
 }
 
 TEST(VictimCache, HitMissStats)
 {
     VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0xc0;
-    e.state = CoherenceState::Shared;
-    vc.insert(e);
-    vc.extract(0xc0, nullptr);
-    vc.extract(0xc0, nullptr);
+    vc.insert(0xc0);
+    vc.extract(0xc0);
+    vc.extract(0xc0);
     EXPECT_EQ(vc.statHits, 1u);
     EXPECT_EQ(vc.statMisses, 1u);
 }
@@ -1046,6 +1081,30 @@ TEST(FlatMap, InsertFindEraseBasics)
     EXPECT_FALSE(m.erase(0x40));
     EXPECT_EQ(m.find(0x40), nullptr);
     EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(FlatMap, ReserveSizesOnceForLoadOneHalf)
+{
+    FlatAddrMap<int> m;
+    EXPECT_EQ(m.capacity(), 64u);           // the default
+    m.reserve(20);                          // 40 slots fit in 64
+    EXPECT_EQ(m.capacity(), 64u);
+    m.reserve(100);
+    EXPECT_EQ(m.capacity(), 256u);          // smallest 2^k >= 2 * 100
+    for (std::uint32_t i = 1; i <= 128; ++i)
+        m.getOrCreate(Addr{i} << 6) = static_cast<int>(i);
+    EXPECT_EQ(m.capacity(), 256u);          // 128 keys: load 1/2
+    m.getOrCreate(Addr{129} << 6) = 129;
+    EXPECT_EQ(m.capacity(), 512u);          // the 129th doubles it
+
+    // Reserving a populated table keeps every entry.
+    m.reserve(1000);
+    EXPECT_EQ(m.capacity(), 2048u);
+    EXPECT_EQ(m.size(), 129u);
+    for (std::uint32_t i = 1; i <= 129; ++i) {
+        ASSERT_NE(m.find(Addr{i} << 6), nullptr);
+        EXPECT_EQ(*m.find(Addr{i} << 6), static_cast<int>(i));
+    }
 }
 
 TEST(FlatMap, RandomizedOracleWithGrowthAndErase)
