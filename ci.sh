@@ -16,8 +16,10 @@
 #   ./ci.sh format     clang-format check (skipped when not installed)
 #   ./ci.sh faults     fault-injection suite under ASan/UBSan: the
 #                      fault matrix, the planted-deadlock/watchdog
-#                      fixtures, and an env-knob smoke run (retries
-#                      under drops must still finish the quickstart)
+#                      fixtures, the faults-enabled zero-allocation
+#                      test (fast-forward on and off), and an env-knob
+#                      smoke run (retries under drops must still finish
+#                      the quickstart)
 #   ./ci.sh bench      ifbench smoke (benchmark/run.sh --smoke): 8
 #                      figure points from the self-contained Release
 #                      benchmark build, failing on any outcome-digest
@@ -93,6 +95,13 @@ run_faults() {
         -R '(fault_test|fault_deadlock_watchdog|fault_max_cycles_budget)'
     INVISIFENCE_FASTFWD=0 ctest --test-dir build-asan \
         --output-on-failure -R fault_test
+    # The fault paths (injector, retry timers, the directory's dedup
+    # table and its FIFO eviction) stay allocation-free at steady state
+    # under both scheduler modes.
+    ./build-asan/tests/alloc_steadystate_test \
+        --gtest_filter=SteadyStateAllocs.ZeroPerCycleWithFaultInjectionEnabled
+    INVISIFENCE_FASTFWD=0 ./build-asan/tests/alloc_steadystate_test \
+        --gtest_filter=SteadyStateAllocs.ZeroPerCycleWithFaultInjectionEnabled
     # Env-knob plumbing end to end: a figure bench with drop/delay/dup
     # rates injected from the environment (retries auto-arm) must still
     # run to completion at a small budget.

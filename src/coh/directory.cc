@@ -17,30 +17,33 @@ DirectorySlice::DirectorySlice(NodeId node, const HomeMap& home_map,
         if (params_.dedupCapacity == 0)
             IF_FATAL("fault-tolerant directory needs dedupCapacity > 0");
         // Ring of completed-transaction keys; 0 marks an empty slot
-        // (txnId 0 is the untagged sentinel, so no real key is 0).
+        // (txnId 0 is the untagged sentinel, so no real key is 0). The
+        // table holds the ring's keys plus the one recordCompleted
+        // inserts before it evicts, so it never grows.
         dedupRing_.assign(params_.dedupCapacity, 0);
+        dedup_.emplace(2 * (std::size_t{params_.dedupCapacity} + 1));
     }
 }
 
 bool
 DirectorySlice::wasCompleted(NodeId src, std::uint32_t txn_id) const
 {
-    return dedup_.find(dedupKey(src, txn_id)) != nullptr;
+    return dedup_ && dedup_->find(dedupKey(src, txn_id)) != nullptr;
 }
 
 void
 DirectorySlice::recordCompleted(NodeId src, std::uint32_t txn_id)
 {
-    if (!params_.faultTolerant || txn_id == 0)
+    if (!dedup_ || txn_id == 0)
         return;
     const Addr key = dedupKey(src, txn_id);
     bool created = false;
-    dedup_.getOrCreate(key, &created) = 1;
+    dedup_->getOrCreate(key, &created);
     if (!created)
         return;
     Addr& slot = dedupRing_[dedupHead_];
     if (slot != 0)
-        dedup_.recycle(slot);   // FIFO eviction of the oldest record
+        dedup_->erase(slot);   // FIFO eviction of the oldest record
     slot = key;
     dedupHead_ = (dedupHead_ + 1) % dedupRing_.size();
 }
@@ -65,7 +68,8 @@ DirectorySlice::verifyQuiescence() const
     std::uint64_t waiting = 0;
     std::uint64_t active = 0;
     std::uint64_t busy = 0;
-    home_.forEach([&](Addr, const BlockHome& h) {
+    homeIndex_.forEach([&](Addr, std::uint32_t slot) {
+        const BlockHome& h = homes_[slot];
         waiting += h.waiting.size();
         active += h.txnActive ? 1 : 0;
         busy += h.busy ? 1 : 0;
@@ -76,6 +80,10 @@ DirectorySlice::verifyQuiescence() const
            "activeTxns_ diverged from the live transactions");
     IF_DBG_ASSERT(busy == busyBlocks_ &&
            "busyBlocks_ diverged from the busy flags");
+    // Only busy blocks hold a slot, and every other slot is free.
+    IF_DBG_ASSERT(homeIndex_.size() == busyBlocks_ &&
+           homeIndex_.size() + freeHomes_.size() == homes_.size() &&
+           "a directory home slot leaked or is held by an idle block");
     static_cast<void>(waiting);
     static_cast<void>(active);
     static_cast<void>(busy);
@@ -86,25 +94,37 @@ DirectorySlice::BlockHome&
 DirectorySlice::home(Addr block)
 {
     bool created = false;
-    BlockHome& h = home_.getOrCreate(blockAlign(block), &created);
-    if (created) {
-        // Recycled entries carry stale fields; the queue's clear() keeps
-        // its ring storage.
-        h.busy = false;
-        h.txnActive = false;
-        h.waiting.clear();
-    }
+    std::uint32_t& slot =
+        homeIndex_.getOrCreate(blockAlign(block), &created);
+    if (!created)
+        return homes_[slot];
+    if (freeHomes_.empty())
+        growHomes();
+    slot = freeHomes_.back();
+    freeHomes_.pop_back();
+    // Recycled slots carry stale fields; the queue's clear() keeps its
+    // ring storage.
+    BlockHome& h = homes_[slot];
+    h.busy = false;
+    h.txnActive = false;
+    h.waiting.clear();
     return h;
 }
 
-void
-DirectorySlice::maybeRecycleHome(Addr block)
+DirectorySlice::BlockHome*
+DirectorySlice::findHome(Addr block)
 {
-    const Addr blk = blockAlign(block);
-    if (const BlockHome* h = home_.find(blk)) {
-        if (!h->busy && !h->txnActive && h->waiting.empty())
-            home_.recycle(blk);
-    }
+    const std::uint32_t* slot = homeIndex_.find(blockAlign(block));
+    return slot ? &homes_[*slot] : nullptr;
+}
+
+void
+DirectorySlice::growHomes()
+{
+    IF_COLD_ALLOC("slab growth: the slab only grows until the busy-block "
+                  "high-water mark; later transactions reuse freed slots");
+    homes_.emplace_back();
+    freeHomes_.push_back(static_cast<std::uint32_t>(homes_.size() - 1));
 }
 
 DirectorySlice::EntryView
@@ -134,9 +154,8 @@ DirectorySlice::registerStats(StatRegistry& reg,
 void
 DirectorySlice::dumpTransients(std::FILE* out) const
 {
-    home_.forEach([&](Addr block, const BlockHome& h) {
-        if (!h.busy && !h.txnActive && h.waiting.empty())
-            return;
+    homeIndex_.forEach([&](Addr block, std::uint32_t slot) {
+        const BlockHome& h = homes_[slot];
         std::fprintf(out,
                      "  dir%u blk=%llx busy=%d active=%d waiting=%zu",
                      node_, static_cast<unsigned long long>(block),
@@ -201,16 +220,23 @@ DirectorySlice::deliver(const Msg& msg)
 void
 DirectorySlice::startNextIfQueued(Addr block)
 {
-    BlockHome* h = home_.find(blockAlign(block));
-    IF_DBG_ASSERT(h && h->busy && "finishing a transaction with no home state");
-    if (h->waiting.empty()) {
-        h->busy = false;
+    const Addr blk = blockAlign(block);
+    const std::uint32_t* slot = homeIndex_.find(blk);
+    IF_DBG_ASSERT(slot && homes_[*slot].busy &&
+                  "finishing a transaction with no home state");
+    BlockHome& h = homes_[*slot];
+    if (h.waiting.empty()) {
+        // The block goes idle: its slot returns to the free list (push
+        // first; the backward-shift erase moves the index entry).
+        IF_DBG_ASSERT(!h.txnActive);
+        h.busy = false;
         --busyBlocks_;
-        maybeRecycleHome(block);
+        hotPush(freeHomes_, *slot);
+        homeIndex_.erase(blk);
         return;
     }
-    const Msg next = h->waiting.front();
-    h->waiting.pop_front();
+    const Msg next = h.waiting.front();
+    h.waiting.pop_front();
     --waitingTotal_;
     eq_.schedule(params_.procLatency, [this, next]() { startTxn(next); });
 }
@@ -241,13 +267,15 @@ DirectorySlice::startTxn(const Msg& req)
         break;
     }
 
-    BlockHome& h = home(req.blockAddr);
-    IF_DBG_ASSERT(!h.txnActive && "transaction already active on block");
-    h.txnActive = true;
+    // deliver() made the block busy, so its home state exists.
+    BlockHome* h = findHome(req.blockAddr);
+    IF_DBG_ASSERT(h && h->busy && !h->txnActive &&
+                  "starting a transaction on a block that is not busy");
+    h->txnActive = true;
     ++activeTxns_;
-    h.txn = Txn{};
-    Txn& txn = h.txn;
-    txn.req = req;
+    h->txn = Txn{};
+    Txn& txn = h->txn;
+    txn.req = {req.type, req.src, req.txnId, req.blockAddr};
 
     if (req.type == MsgType::GetS) {
         ++statGetS;
@@ -377,7 +405,7 @@ DirectorySlice::beginMemRead(Addr block)
 {
     ++statMemReads;
     eq_.schedule(params_.memLatency, [this, block]() {
-        BlockHome* h = home_.find(blockAlign(block));
+        BlockHome* h = findHome(block);
         if (!h || !h->txnActive)
             return;    // transaction satisfied by owner data instead
         Txn& txn = h->txn;
@@ -393,7 +421,7 @@ DirectorySlice::beginMemRead(Addr block)
 void
 DirectorySlice::handleResponse(const Msg& msg)
 {
-    BlockHome* h = home_.find(blockAlign(msg.blockAddr));
+    BlockHome* h = findHome(msg.blockAddr);
     if (!h || !h->txnActive) {
         IF_PANIC("response %s with no active txn blk=%llx",
                  msgTypeName(msg.type).data(),
@@ -424,7 +452,7 @@ DirectorySlice::handleResponse(const Msg& msg)
 void
 DirectorySlice::maybeFinish(Addr block)
 {
-    BlockHome* h = home_.find(blockAlign(block));
+    BlockHome* h = findHome(block);
     if (!h || !h->txnActive)
         return;
     Txn& txn = h->txn;

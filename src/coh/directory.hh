@@ -11,9 +11,10 @@
  * address, and an acknowledgment when each store miss completes.
  *
  * Transient per-block state (busy flag, active transaction, waiting FIFO)
- * lives in one recycled map entry per block — a single hash lookup per
- * protocol step, and the entry's node plus its queue storage are pooled
- * and reused across transactions, so the steady state allocates nothing.
+ * lives in one slot of a free-listed slab, found through a flat index
+ * keyed by block — a single probe per protocol step. A freed slot keeps
+ * its queue storage for the next block, so once the slab reaches the
+ * busy-block high-water mark the steady state allocates nothing.
  */
 
 #ifndef INVISIFENCE_COH_DIRECTORY_HH
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +34,6 @@
 #include "mem/functional_mem.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
-#include "sim/recycling_map.hh"
 #include "sim/ring_deque.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -143,7 +144,16 @@ class DirectorySlice
     /** Active transaction on a block. */
     struct Txn
     {
-        Msg req;
+        /** The request's header: requests carry no data, so a slot
+         *  keeps only the fields the protocol reads back. */
+        struct Req
+        {
+            MsgType type = MsgType::GetS;
+            NodeId src = 0;
+            std::uint32_t txnId = 0;
+            Addr blockAddr = 0;
+        };
+        Req req;
         bool needMem = false;
         bool memDone = false;
         std::uint32_t pendingAcks = 0;
@@ -155,9 +165,9 @@ class DirectorySlice
     };
 
     /**
-     * Transient home-side state of one block. Recycled wholesale
-     * (including the waiting queue's storage); every field is reset on
-     * reuse by resetHome().
+     * Transient home-side state of one block: one slab slot, recycled
+     * wholesale (including the waiting queue's storage). home() resets
+     * busy, txnActive and waiting on reuse; startTxn resets txn.
      */
     struct BlockHome
     {
@@ -170,14 +180,22 @@ class DirectorySlice
     DirEntry& entry(Addr block);
 
 #ifndef NDEBUG
-    /** From-scratch recount of the quiescence counters over home_. */
+    /** From-scratch recount of the quiescence counters over the slab. */
     void verifyQuiescence() const;
 #endif
 
-    /** Transient state for @p block, created (reset) on demand. */
+    /**
+     * Transient state for @p block, created (reset) on demand. The
+     * reference stays valid until the next home() call, which may grow
+     * the slab — the same contract entry() has for dir_. Only deliver()
+     * calls it; later protocol steps find the existing slot.
+     */
     BlockHome& home(Addr block);
-    /** Drop @p block's transient entry if it went fully idle. */
-    void maybeRecycleHome(Addr block);
+    /** @p block's transient state, or nullptr when it has none. Never
+     *  inserts, so it invalidates no home() reference. */
+    BlockHome* findHome(Addr block);
+    /** Slab growth half of home(): appends one free slot. */
+    IF_COLD_FN void growHomes();
 
     void startNextIfQueued(Addr block);
     void startTxn(const Msg& req);
@@ -195,8 +213,8 @@ class DirectorySlice
 
     /** @{ Completed-transaction dedup record (fault-tolerant mode).
      *  Key = (src << 32) | txnId; a bounded FIFO ring evicts the
-     *  oldest record once dedupCapacity is reached. Map nodes recycle,
-     *  so steady-state churn is allocation-free after the ring wraps. */
+     *  oldest record once dedupCapacity is reached. The table is sized
+     *  once for the ring, so record churn never allocates. */
     static Addr
     dedupKey(NodeId src, std::uint32_t txn_id)
     {
@@ -220,9 +238,15 @@ class DirectorySlice
      * by doubling, which warm-started runs absorb during warmup.
      */
     FlatAddrMap<DirEntry> dir_;
-    RecyclingMap<Addr, BlockHome> home_;
-    /** @{ Dedup record storage; empty unless faultTolerant. */
-    RecyclingMap<Addr, std::uint8_t> dedup_;
+    /** @{ Transient state: block -> slot of homes_ (busy blocks only),
+     *  the slot slab, and its free list. The slab only grows. */
+    FlatAddrMap<std::uint32_t> homeIndex_{16};
+    std::vector<BlockHome> homes_;
+    std::vector<std::uint32_t> freeHomes_;
+    /** @} */
+    /** @{ Dedup record storage; unallocated unless faultTolerant. The
+     *  table's value is unused: presence of the key is the record. */
+    std::optional<FlatAddrMap<std::uint8_t>> dedup_;
     std::vector<Addr> dedupRing_;
     std::size_t dedupHead_ = 0;
     /** @} */

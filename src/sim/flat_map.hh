@@ -2,8 +2,8 @@
  * @file
  * Open-addressed flat hash map keyed by address.
  *
- * The directory's per-block state and the MSHR file's block index are
- * hot single-key lookups on every protocol step; a node-based
+ * The directory's per-block state and transient-slot index and the MSHR
+ * file's block index are hot single-key lookups on every protocol step; a node-based
  * unordered_map costs a pointer chase (and a cold line) per probe.
  * FlatAddrMap stores keys and values in two parallel arrays (split
  * lanes, like the cache tag arrays): a linear probe walks contiguous
@@ -19,7 +19,8 @@
  *    (tests/alloc_steadystate_test.cc);
  *  - the all-ones key is reserved as the empty sentinel. Block-aligned
  *    addresses (and the MSHR index's tagged keys, which only use the
- *    low alignment bits) can never collide with it.
+ *    low alignment bits, and the directory's dedup keys, whose top 32
+ *    bits hold a node id) can never collide with it.
  */
 
 #ifndef INVISIFENCE_SIM_FLAT_MAP_HH

@@ -1,7 +1,7 @@
 /** @file Zero-allocation steady state: after warmup, simulating any of
  *  the 10 implementation kinds must perform no heap allocation at all —
  *  the typed pooled event path, Msg slab recycling, MSHR/ROB/store-
- *  buffer pooling, and the directory's recycled transaction map leave
+ *  buffer pooling, and the directory's recycled transaction slots leave
  *  nothing that touches the heap per cycle. The test binary replaces
  *  global operator new/delete with counting versions; on failure it
  *  prints deduplicated backtraces of the offending allocation sites
@@ -247,8 +247,9 @@ TEST(SteadyStateAllocs, ZeroPerCycleWithFaultInjectionEnabled)
     // request, the directory tags a dedup record per completed
     // transaction, and the watchdog check runs once per loop iteration.
     // All of it must be allocation-free at steady state. The dedup ring
-    // is shrunk so it wraps (and its RecyclingMap pool warms) inside
-    // the warmup window; production capacity only delays the wrap.
+    // is shrunk so it wraps (its FIFO eviction erasing from the flat
+    // dedup table, sized once for the ring) inside the warmup window;
+    // production capacity only delays the wrap.
     const SyntheticParams params = smallParams();
     for (const ImplKind kind : {ImplKind::ConvSC, ImplKind::Continuous}) {
         SCOPED_TRACE(implKindName(kind));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -461,6 +462,125 @@ TEST(DirectoryFlat, GrowthFromDefaultMatchesReservedUpFront)
         EXPECT_EQ(g.statStaleWritebacks, r.statStaleWritebacks);
         EXPECT_EQ(g.statQueuedRequests, r.statQueuedRequests);
     }
+}
+
+// ------------------------------ directory transient state: slot slab
+
+namespace {
+
+/** Fill-waiter context: once the block is writable, add one to its
+ *  first word, then bump *done. */
+struct IncrementOnFill
+{
+    CacheAgent* agent = nullptr;
+    Addr addr = 0;
+    int* done = nullptr;
+};
+
+FillWaiter
+incrementWaiter(IncrementOnFill* ctx)
+{
+    return {[](void* owner, std::uint64_t) {
+                auto* c = static_cast<IncrementOnFill*>(owner);
+                c->agent->writeWordL1(
+                    c->addr, c->agent->readWordL1(c->addr) + 1, false, 0);
+                ++*c->done;
+            },
+            ctx, 0};
+}
+
+/** Lines the watchdog dump prints for @p dir: one per busy block. */
+int
+transientLines(const DirectorySlice& dir)
+{
+    std::FILE* f = std::tmpfile();
+    if (f == nullptr)
+        return -1;
+    dir.dumpTransients(f);
+    std::rewind(f);
+    int lines = 0;
+    for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+        lines += c == '\n' ? 1 : 0;
+    std::fclose(f);
+    return lines;
+}
+
+} // namespace
+
+TEST(DirectoryHomes, SlabAndIndexGrowUnderLiveTransactions)
+{
+    // One slice holds more concurrently busy blocks than the transient
+    // index's initial 16 slots, eight of them with writers queued behind
+    // the first. The index rehashes and the slot slab reallocates
+    // (moving every live transaction and waiting queue) while those
+    // transactions are in flight; each must still complete with the
+    // right data.
+    constexpr std::uint32_t kNodes = 4;
+    constexpr std::uint32_t kBlocks = 40;
+    constexpr std::uint32_t kContended = 8;
+    constexpr NodeId kHome = 0;
+    const DirectoryParams dp{400, 5};   // memory slower than the burst
+    Rig rig(kNodes, AgentParams{}, dp);
+    DirectorySlice& dir = *rig.dirs[kHome];
+
+    // The first kBlocks blocks homed here take the burst; the next
+    // kBlocks are fresh blocks for the slot-reuse phase.
+    std::vector<Addr> blocks;
+    for (Addr b = 0; blocks.size() < 2 * kBlocks; ++b) {
+        if (homeOf(b * kBlockBytes, kNodes) == kHome)
+            blocks.push_back(b * kBlockBytes);
+    }
+    for (std::uint32_t i = 0; i < kBlocks; ++i) {
+        BlockData d;
+        d.writeWord(0, 1000 + i);
+        rig.mem.writeBlock(blocks[i], d);
+    }
+
+    std::vector<IncrementOnFill> ctx;
+    ctx.reserve(kBlocks * kNodes);   // waiters point into it
+    int done = 0;
+    int issued = 0;
+    for (std::uint32_t i = 0; i < kBlocks; ++i) {
+        const std::uint32_t writers = i < kContended ? kNodes : 1;
+        for (std::uint32_t w = 0; w < writers; ++w) {
+            const NodeId n = (i + w) % kNodes;
+            ctx.push_back({rig.agents[n].get(), blocks[i], &done});
+            ASSERT_TRUE(rig.agents[n]->request(blocks[i], true,
+                                               incrementWaiter(&ctx.back())));
+            ++issued;
+        }
+    }
+    // Every request has reached the home; no memory read is back yet.
+    rig.eq.advanceTo(rig.eq.now() + 200);
+    EXPECT_EQ(transientLines(dir), static_cast<int>(kBlocks));
+    EXPECT_EQ(dir.statQueuedRequests, kContended * (kNodes - 1));
+    EXPECT_FALSE(dir.quiescent());
+
+    rig.settle();
+    EXPECT_EQ(done, issued);
+    EXPECT_TRUE(dir.quiescent());
+    EXPECT_EQ(transientLines(dir), 0);
+    for (std::uint32_t i = 0; i < kBlocks; ++i) {
+        const std::uint32_t writers = i < kContended ? kNodes : 1;
+        const NodeId reader = (i + 1) % kNodes;
+        rig.fetch(reader, blocks[i], false);
+        EXPECT_EQ(rig.agents[reader]->readWordL1(blocks[i]),
+                  1000u + i + writers)
+            << "block " << i;
+    }
+
+    // A slot reused by a different block starts idle: one reader per
+    // fresh block never queues (a stale busy flag would park it).
+    const std::uint64_t queued = dir.statQueuedRequests;
+    int reads = 0;
+    for (std::uint32_t i = kBlocks; i < 2 * kBlocks; ++i) {
+        ASSERT_TRUE(rig.agents[i % kNodes]->request(blocks[i], false,
+                                                    countWaiter(&reads)));
+    }
+    rig.settle();
+    EXPECT_EQ(reads, static_cast<int>(kBlocks));
+    EXPECT_EQ(dir.statQueuedRequests, queued);
+    EXPECT_TRUE(dir.quiescent());
 }
 
 // ------------------------------------------ local fills as retry records

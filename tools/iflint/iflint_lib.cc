@@ -505,8 +505,8 @@ runRules(const std::string& path, const std::vector<Token>& toks,
                              "range-for over unordered container '" +
                                  toks[j].text +
                                  "': iteration order depends on hash "
-                                 "layout; use FlatAddrMap/RecyclingMap "
-                                 "or a sorted snapshot"});
+                                 "layout; use FlatAddrMap or a sorted "
+                                 "snapshot"});
                         break;
                     }
                 }
@@ -522,8 +522,8 @@ runRules(const std::string& path, const std::vector<Token>& toks,
                            "iterator traversal of unordered container '" +
                                t.text +
                                "': iteration order depends on hash "
-                               "layout; use FlatAddrMap/RecyclingMap or "
-                               "a sorted snapshot"});
+                               "layout; use FlatAddrMap or a sorted "
+                               "snapshot"});
             continue;
         }
     }
