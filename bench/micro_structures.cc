@@ -152,7 +152,7 @@ BM_CoalescingSbGather(benchmark::State& state)
     CoalescingStoreBuffer sb(8);
     for (InstSeq i = 0; i < 8; ++i)
         sb.store(static_cast<Addr>(i) * kBlockBytes, 8, i, false,
-                 kNonSpecCtx, i);
+                 kNonSpecCtx);
     Addr probe = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(sb.gatherBlock(probe));

@@ -75,12 +75,6 @@ CacheAgent::probe(Addr addr) const
 }
 
 bool
-CacheAgent::l1Present(Addr addr) const
-{
-    return static_cast<bool>(l1_.lookup(addr));
-}
-
-bool
 CacheAgent::l1Readable(Addr addr) const
 {
     if (!l1_.lookup(addr))
@@ -102,13 +96,6 @@ CacheAgent::l1Dirty(Addr addr) const
 {
     const CacheArray::Line l1line = l1_.lookup(addr);
     return l1line && l1line.dirty();
-}
-
-bool
-CacheAgent::l1SpecWritten(Addr addr) const
-{
-    const CacheArray::Line l1line = l1_.lookup(addr);
-    return l1line && l1line.specWrittenAny();
 }
 
 bool
@@ -301,12 +288,6 @@ CacheAgent::flashAbort(std::uint32_t ctx)
 {
     l1_.flashInvalidateSpecWritten(ctx);
     specLines_ = l1_.countSpeculative(0) + l1_.countSpeculative(1);
-}
-
-std::uint32_t
-CacheAgent::specBlockCount(std::uint32_t ctx) const
-{
-    return l1_.countSpeculative(ctx);
 }
 
 void
@@ -610,10 +591,9 @@ CacheAgent::serveExternal(const Msg& msg, CacheArray::Handle l1h)
                 // data, so our in-flight Put is moot: free the MSHR now
                 // (stopping its retry timer). The original Put either
                 // arrives stale (AckStale, orphan-counted) or was
-                // dropped (nothing outstanding).
+                // dropped (nothing outstanding). In a clean run the Put
+                // is never lost: the MSHR stays until its AckStale.
                 mshrs_.free(wb);
-            } else {
-                wb->ownershipLost = true;
             }
         } else {
             IF_PANIC("agent %u: FwdGetS for absent block %llx", node_,
@@ -633,11 +613,8 @@ CacheAgent::serveExternal(const Msg& msg, CacheArray::Handle l1h)
         } else if (Mshr* wb = mshrs_.lookup(block, Mshr::Kind::Writeback)) {
             sendToHome(MsgType::DataToHome, block, &wb->wbData,
                        wb->wbDirty);
-            if (params_.faultTolerant) {
+            if (params_.faultTolerant)
                 mshrs_.free(wb);   // see the FwdGetS twin above
-            } else {
-                wb->ownershipLost = true;
-            }
         } else {
             IF_PANIC("agent %u: FwdGetM for absent block %llx", node_,
                      static_cast<unsigned long long>(block));

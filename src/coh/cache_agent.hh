@@ -112,11 +112,9 @@ class CacheAgent
     }
 
     /** @{ Presence and permission probes (L2 state is authoritative). */
-    bool l1Present(Addr addr) const;
     bool l1Readable(Addr addr) const;
     bool l1Writable(Addr addr) const;
     bool l1Dirty(Addr addr) const;
-    bool l1SpecWritten(Addr addr) const;
     /** @} */
 
     /**
@@ -159,7 +157,7 @@ class CacheAgent
     void setSpecRead(Addr addr, std::uint32_t ctx);
 
     /**
-     * Combined l1Present + setSpecRead: one resolution. False (and no
+     * Combined L1 presence probe + setSpecRead: one resolution. False (and no
      * marking) when the block is not L1-resident.
      */
     bool markSpecReadIfPresent(Addr addr, std::uint32_t ctx);
@@ -196,9 +194,6 @@ class CacheAgent
      * and clear the context's bits (Figure 3 conditional clear).
      */
     void flashAbort(std::uint32_t ctx);
-
-    /** Number of L1 lines with speculative bits in @p ctx (O(1)). */
-    std::uint32_t specBlockCount(std::uint32_t ctx) const;
 
     /** O(1) count of L1 lines holding any speculative bit. */
     std::uint32_t specFootprint() const { return specLines_; }
@@ -356,8 +351,6 @@ class CacheAgent
     /** Propagate dirty L1 data into the L2 line. */
     void syncL2FromL1(Addr block);
     void syncL2FromL1(CacheArray::Line l1line, CacheArray::Line l2line);
-    /** Number of fetch-kind MSHRs in use. */
-    std::uint32_t fetchCount() const { return fetchCount_; }
 
     NodeId node_;
     HomeMap homeMap_;

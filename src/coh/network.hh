@@ -14,7 +14,8 @@
  * called directly), not per-endpoint std::function sinks, and send()
  * moves the Msg once into the event queue's pooled slot instead of
  * copying it into a heap-allocated closure. A std::function fallback
- * remains for tests that attach custom sinks.
+ * remains for custom sinks: tests attach them, and so does the
+ * benchmark's message tracer (benchmark/trace.hh).
  */
 
 #ifndef INVISIFENCE_COH_NETWORK_HH
@@ -70,7 +71,7 @@ TorusDims torusDims(const NetworkParams& params, std::uint32_t num_nodes);
 class Network
 {
   public:
-    // iflint:allow(std-function) test-only fallback sink: production traffic dispatches through the typed endpoint table below; attach() is never on the steady-state path.
+    // iflint:allow(std-function) fallback sink for tests and the benchmark tracer: simulation traffic dispatches through the typed endpoint table below; attach() is never on the steady-state path.
     using Sink = std::function<void(const Msg&)>;
 
     Network(EventQueue& eq, const NetworkParams& params,
@@ -81,7 +82,8 @@ class Network
     void attachDirectory(NodeId node, DirectorySlice* dir);
     /** @} */
 
-    /** Register a custom std::function sink (tests only; slower path). */
+    /** Register a custom std::function sink (tests and the benchmark
+     *  tracer; slower path). */
     void attach(NodeId node, Unit unit, Sink sink);
 
     /** Send @p msg; delivery is scheduled after the topological delay. */

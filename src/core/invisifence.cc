@@ -27,7 +27,6 @@ SpecConfig::continuousMode(bool cov)
     c.numCheckpoints = 2;
     c.sbEntries = 32;
     c.commitOnViolate = cov;
-    c.maxWindowInsts = 0;   // chunking already bounds window length
     return c;
 }
 
@@ -234,7 +233,7 @@ SpeculativeImpl::doStore(Addr addr, std::uint64_t value, bool spec,
       case StoreRoute::NewEntry:
       case StoreRoute::NewEntryHeld: {
         const auto res =
-            sb_.store(addr, kWordBytes, value, spec, label, seq);
+            sb_.store(addr, kWordBytes, value, spec, label);
         IF_DBG_ASSERT(res != CoalescingStoreBuffer::StoreResult::Full);
         (void)res;
         if (route == StoreRoute::NewEntryHeld) {
@@ -296,12 +295,7 @@ SpeculativeImpl::conventionalCanRetire(RobEntry& entry)
                                      : sb_.empty();
         if (!order_ok)
             return {false, StallKind::SbDrain};
-        if (!agent_.l1Writable(addr)) {
-            if (!agent_.fetchOutstanding(addr))
-                agent_.request(addr, true);
-            return {false, StallKind::SbDrain};
-        }
-        return {true, StallKind::None};
+        return retireWhenWritable(addr);
       }
 
       case OpType::Fence:
@@ -340,12 +334,7 @@ SpeculativeImpl::canRetire(RobEntry& entry)
           case OpType::FetchAdd:
             if (!sb_.empty())
                 return {false, StallKind::SbDrain};
-            if (!agent_.l1Writable(addr)) {
-                if (!agent_.fetchOutstanding(addr))
-                    agent_.request(addr, true);
-                return {false, StallKind::SbDrain};
-            }
-            return {true, StallKind::None};
+            return retireWhenWritable(addr);
         }
     }
 
@@ -426,7 +415,6 @@ SpeculativeImpl::onRetire(RobEntry& entry)
         if (agent_.markSpecReadIfPresent(addr, ctx))
             return true;
         if (!agent_.tryInstantL1Install(addr)) {
-            ++statMarkFallbacks;
             abortAll();
             return false;
         }
@@ -470,16 +458,13 @@ SpeculativeImpl::onRetire(RobEntry& entry)
     if (spec) {
         ++ckpts_[ctx].retiredInsts;
         maybeCloseChunk();
-        // Bounded windows: once the speculation is long enough (or its
-        // L1 footprint large enough) and no further checkpoint is
-        // available, push it toward commit before it overflows the L1.
-        const bool too_long =
-            cfg_.maxWindowInsts != 0 && hasOpenCkpt() &&
-            ckpts_[openCtx()].retiredInsts >= cfg_.maxWindowInsts;
+        // Bounded footprint: once the speculation's L1 footprint is
+        // large enough and no further checkpoint is available, push it
+        // toward commit before it overflows the L1.
         const bool too_big =
             cfg_.specFootprintCap != 0 &&
             agent_.specFootprint() >= cfg_.specFootprintCap;
-        if ((too_long || too_big) && freeSlot() == kNoSpecCtx) {
+        if (too_big && freeSlot() == kNoSpecCtx) {
             commitPressure_ = true;
             for (const std::uint32_t c : order_)
                 ckpts_[c].closed = true;
@@ -800,12 +785,8 @@ SpeculativeImpl::drainStoreBuffer()
                     e.fillRequested = true;
                     e.fullStallNoted = false;
                     core_.noteWork();
-                } else if (!e.fullStallNoted) {
-                    // MSHRs exhausted: count the stall once per
-                    // episode, not per retry (fast-forward skips the
-                    // retry cycles the legacy loop burns).
-                    e.fullStallNoted = true;
-                    ++agent_.mshrs().statFullStalls;
+                } else {
+                    agent_.mshrs().noteFullStall(e.fullStallNoted);
                 }
             }
             // While a fetch is in flight the per-tick probe is dead

@@ -52,14 +52,6 @@ struct SpecConfig
     /** ASO: per-store SSB with no practical capacity limit. */
     bool unboundedSb = false;
     /**
-     * Bound on a single-checkpoint speculation's length (instructions).
-     * When exceeded, the engine stops extending the window so the store
-     * buffer drains and the commit fires — the same periodic-commit idea
-     * as ASO's checkpoints, and it keeps the speculative footprint well
-     * inside the L1 (0 = unbounded). Swept by bench/abl_window.
-     */
-    std::uint64_t maxWindowInsts = 0;
-    /**
      * Commit pressure starts once this many L1 lines carry speculative
      * bits: keeping the footprint well below the L1's capacity avoids
      * forced-eviction stalls/aborts (the paper's cache-overflow commit,
@@ -103,7 +95,6 @@ class SpeculativeImpl : public ConsistencyImpl
     void onL1Install(Addr block) override;
 
     const SpecConfig& config() const { return cfg_; }
-    const CoalescingStoreBuffer& storeBuffer() const { return sb_; }
 
     /** Register engine statistics under @p prefix. */
     void registerStats(StatRegistry& reg, const std::string& prefix) const;
@@ -122,7 +113,6 @@ class SpeculativeImpl : public ConsistencyImpl
     std::uint64_t statCovCommits = 0;
     std::uint64_t statCovTimeouts = 0;
     std::uint64_t statCleanings = 0;
-    std::uint64_t statMarkFallbacks = 0;
 
   private:
     /** One checkpoint context. */
@@ -173,8 +163,6 @@ class SpeculativeImpl : public ConsistencyImpl
 
     /** Conventional-mode retirement rules for the target model. */
     RetireCheck conventionalCanRetire(RobEntry& entry);
-    /** Would the conventional rules stall this entry for ordering? */
-    bool wouldTriggerSpeculation(const RobEntry& entry) const;
 
     bool hasOpenCkpt() const;
     std::uint32_t openCtx() const;

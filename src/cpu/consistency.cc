@@ -45,6 +45,16 @@ ConsistencyImpl::onInvalidateApplied(Addr block)
     core_.notifyInvalidated(block);
 }
 
+RetireCheck
+ConsistencyImpl::retireWhenWritable(Addr addr)
+{
+    if (agent_.l1Writable(addr))
+        return {true, StallKind::None};
+    if (!agent_.fetchOutstanding(addr))
+        agent_.request(addr, true);
+    return {false, StallKind::SbDrain};
+}
+
 void
 ConsistencyImpl::dumpLiveness(std::FILE* out) const
 {
@@ -87,12 +97,7 @@ ConventionalFifoImpl::canRetire(RobEntry& entry)
         // (Figure 2: "Drain SB" under both SC and TSO).
         if (!sb_.empty())
             return {false, StallKind::SbDrain};
-        if (!agent_.l1Writable(entry.inst.addr)) {
-            if (!agent_.fetchOutstanding(entry.inst.addr))
-                agent_.request(entry.inst.addr, true);
-            return {false, StallKind::SbDrain};
-        }
-        return {true, StallKind::None};
+        return retireWhenWritable(entry.inst.addr);
       }
       case OpType::Fence:
         // SC already orders everything. TSO provides acquire/release
@@ -144,20 +149,15 @@ ConventionalFifoImpl::tick()
         if (agent_.l1Writable(head.addr)) {
             agent_.writeWordL1(head.addr, head.data, false, 0);
             sb_.popFront();
-            ++statDrained;
             core_.noteWork();
             continue;
         }
-        ++statHeadBlocked;
         // Issue (or re-issue, if another core stole the permission
         // before the entry drained) the write fetch for the head.
-        if (!agent_.fetchOutstanding(head.addr)) {
-            if (agent_.request(head.addr, true)) {
-                head.issued = true;
-                core_.noteWork();
-            }
-        } else {
-            ++statHeadIssuedWait;
+        if (!agent_.fetchOutstanding(head.addr) &&
+            agent_.request(head.addr, true)) {
+            head.issued = true;
+            core_.noteWork();
         }
         break;
     }
@@ -179,21 +179,6 @@ ConventionalFifoImpl::tick()
             }
         }
     }
-}
-
-void
-ConventionalFifoImpl::accrueQuiescentCycles(std::uint64_t n)
-{
-    // Replicate tick()'s per-cycle counters for a no-progress cycle: a
-    // writable head would have drained (and broken quiescence), so the
-    // head is blocked; the issued-wait counter bumps only while its
-    // write fetch is actually outstanding (an MSHR-exhausted head
-    // retries silently).
-    if (sb_.empty())
-        return;
-    statHeadBlocked += n;
-    if (agent_.fetchOutstanding(sb_.front().addr))
-        statHeadIssuedWait += n;
 }
 
 void
@@ -245,15 +230,9 @@ ConventionalRmoImpl::canRetire(RobEntry& entry)
       case OpType::FetchAdd: {
         // RMO atomics retire once the block is writable (Figure 2:
         // "Complete store") and program order within the block holds.
-        const Addr addr = entry.inst.addr;
-        if (sb_.containsBlock(addr))
+        if (sb_.containsBlock(entry.inst.addr))
             return {false, StallKind::SbDrain};
-        if (!agent_.l1Writable(addr)) {
-            if (!agent_.fetchOutstanding(addr))
-                agent_.request(addr, true);
-            return {false, StallKind::SbDrain};
-        }
-        return {true, StallKind::None};
+        return retireWhenWritable(entry.inst.addr);
       }
       case OpType::Fence:
         if (!sb_.empty())
@@ -271,11 +250,10 @@ ConventionalRmoImpl::onRetire(RobEntry& entry)
       case OpType::Store: {
         if (!sb_.containsBlock(addr) && agent_.l1Writable(addr)) {
             agent_.writeWordL1(addr, entry.inst.value, false, 0);
-            ++statDirectHits;
             return;
         }
         const auto res = sb_.store(addr, kWordBytes, entry.inst.value,
-                                   false, kNonSpecCtx, entry.seq);
+                                   false, kNonSpecCtx);
         IF_DBG_ASSERT(res != CoalescingStoreBuffer::StoreResult::Full);
         (void)res;
         break;
@@ -313,7 +291,6 @@ ConventionalRmoImpl::tick()
         if (agent_.l1Writable(e.blockAddr)) {
             if (drained < 2) {
                 agent_.writeMaskedL1(e.blockAddr, e.data, false, 0);
-                ++statDrained;
                 ++drained;
                 core_.noteWork();
                 entries.erase(entries.begin() +
@@ -326,10 +303,8 @@ ConventionalRmoImpl::tick()
                 e.fillRequested = true;
                 e.fullStallNoted = false;
                 core_.noteWork();
-            } else if (!e.fullStallNoted) {
-                // Once per stall episode, like the load-issue path.
-                e.fullStallNoted = true;
-                ++agent_.mshrs().statFullStalls;
+            } else {
+                agent_.mshrs().noteFullStall(e.fullStallNoted);
             }
         }
         ++i;

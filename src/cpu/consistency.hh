@@ -142,6 +142,14 @@ class ConsistencyImpl : public CoherenceListener
     void onInvalidateApplied(Addr block) override;
 
   protected:
+    /**
+     * Retire once @p addr's block is writable in the L1; until then
+     * request write permission (unless a fetch is already outstanding)
+     * and stall as SbDrain. Atomics wait on this under every model, and
+     * so does the write that retires non-speculatively after an abort.
+     */
+    RetireCheck retireWhenWritable(Addr addr);
+
     std::string name_;
     Core& core_;
     CacheAgent& agent_;
@@ -159,14 +167,7 @@ class ConventionalFifoImpl : public ConsistencyImpl
     void onRetire(RobEntry& entry) override;
     std::optional<std::uint64_t> forwardStore(Addr addr) const override;
     bool quiesced() const override { return sb_.empty(); }
-    void accrueQuiescentCycles(std::uint64_t n) override;
     void dumpLiveness(std::FILE* out) const override;
-
-    const FifoStoreBuffer& storeBuffer() const { return sb_; }
-
-    std::uint64_t statDrained = 0;
-    std::uint64_t statHeadBlocked = 0;
-    std::uint64_t statHeadIssuedWait = 0;
 
   private:
     Model model_;
@@ -186,11 +187,6 @@ class ConventionalRmoImpl : public ConsistencyImpl
     std::optional<std::uint64_t> forwardStore(Addr addr) const override;
     bool quiesced() const override { return sb_.empty(); }
     void dumpLiveness(std::FILE* out) const override;
-
-    const CoalescingStoreBuffer& storeBuffer() const { return sb_; }
-
-    std::uint64_t statDrained = 0;
-    std::uint64_t statDirectHits = 0;
 
   private:
     CoalescingStoreBuffer sb_;

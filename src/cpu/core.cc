@@ -511,14 +511,8 @@ Core::tryIssueLoad(std::size_t idx)
     const FillWaiter wake{&Core::fillWakeThunk, this, e.seq};
     const bool accepted = agent_.request(addr, want_write, wake);
     if (!accepted) {
-        // MSHRs exhausted; retry next cycle. Count the stall once per
-        // issue episode, not per retry — the legacy loop retries every
-        // cycle while fast-forward sleeps through them, and a surfaced
-        // statistic must not depend on the tick-loop mode.
-        if (!e.mshrStallNoted) {
-            e.mshrStallNoted = true;
-            ++agent_.mshrs().statFullStalls;
-        }
+        // MSHRs exhausted; retry next cycle.
+        agent_.mshrs().noteFullStall(e.mshrStallNoted);
         return false;
     }
     e.mshrStallNoted = false;

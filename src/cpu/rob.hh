@@ -52,10 +52,8 @@ struct RobEntry
      *  the link in place — a chain hop to a retired seq means every
      *  older same-word store has retired too, ending the walk. */
     InstSeq prevSameWord = 0;
-    /** An MSHR-full rejection was already counted for the current issue
-     *  episode (cleared when the request is accepted), so retry loops
-     *  count stall episodes, not retries — identically in the legacy
-     *  and fast-forward tick loops. */
+    /** Full-MSHR episode flag of this load's fetch
+     *  (MshrFile::noteFullStall). */
     bool mshrStallNoted = false;
 };
 

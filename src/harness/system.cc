@@ -223,19 +223,6 @@ System::System(const SystemParams& params,
 }
 
 void
-System::setFastForward(bool on)
-{
-    // Turning fast-forward on after a stretch of per-cycle ticking must
-    // not trust stale dormancy info: wake everything for the next cycle
-    // (spurious ticks are harmless; missed ones are not).
-    if (on && !fastForward_) {
-        std::fill(wakeAt_.begin(), wakeAt_.end(), Cycle{0});
-        std::fill(shardWake_.begin(), shardWake_.end(), Cycle{0});
-    }
-    fastForward_ = on;
-}
-
-void
 System::recomputeShardWake(std::uint32_t shard)
 {
     const std::uint32_t lo = shard << kShardShift;

@@ -121,8 +121,7 @@ class System
      */
     bool runUntilDone(Cycle max_cycles);
 
-    /** @{ Quiescence-aware fast-forward control and introspection. */
-    void setFastForward(bool on);
+    /** @{ Quiescence-aware fast-forward introspection. */
     bool fastForwardEnabled() const { return fastForward_; }
     /** Cycles skipped (bulk-accrued) instead of ticked. */
     std::uint64_t statFastForwardedCycles = 0;

@@ -277,16 +277,6 @@ CacheArray::flashInvalidateSpecWritten(std::uint32_t ctx)
     }
 }
 
-void
-CacheArray::forEachValid(FunctionRef<void(const Line&)> fn)
-{
-    const std::uint32_t frames = num_sets_ * ways_;
-    for (std::uint32_t f = 0; f < frames; ++f) {
-        if (tags_[f].valid())
-            fn(Line{this, f});
-    }
-}
-
 #ifndef NDEBUG
 void
 CacheArray::verifySpecIndex() const

@@ -316,9 +316,6 @@ class CacheArray
         return static_cast<std::uint32_t>(specFrames_[ctx].size());
     }
 
-    /** Apply @p fn to every valid line. */
-    void forEachValid(FunctionRef<void(const Line&)> fn);
-
     /**
      * Monotonic count of the mutations that can end a speculative-
      * overflow refusal: a frame installed or invalidated, or a flash op
@@ -330,7 +327,6 @@ class CacheArray
     std::uint64_t mutations() const { return mutations_; }
 
     std::uint32_t numSets() const { return num_sets_; }
-    std::uint32_t numWays() const { return ways_; }
     const std::string& name() const { return name_; }
 
     /** Set index for @p addr (exposed for tests). */
@@ -341,13 +337,11 @@ class CacheArray
                                           (num_sets_ - 1));
     }
 
-    /** @{ Test access: LRU-stamp wrap handling. The 32-bit stamps are
+    /** Test access: LRU-stamp wrap handling. The 32-bit stamps are
      *  renormalized (within-set order preserved exactly, so victim
      *  choices are unchanged) when the touch counter saturates; tests
      *  fast-forward the counter instead of touching 4G times. */
     void debugSetLruCounter(std::uint32_t v) { lruCounter_ = v; }
-    std::uint32_t debugLruCounter() const { return lruCounter_; }
-    /** @} */
 
   private:
     friend class Line;

@@ -49,10 +49,8 @@ Mshr*
 MshrFile::allocate(Addr addr, Mshr::Kind k)
 {
     IF_HOT;
-    if (full()) {
-        ++statFullStalls;
+    if (full())
         return nullptr;
-    }
     const std::uint32_t slot = freeSlots_.back();
     freeSlots_.pop_back();
     live_[slot] = 1;
@@ -67,7 +65,6 @@ MshrFile::allocate(Addr addr, Mshr::Kind k)
     m.writeWaiters = WaiterChain{};
     m.wbData = BlockData{};
     m.wbDirty = false;
-    m.ownershipLost = false;
     m.wbType = MsgType::PutS;
     m.txnId = 0;
     m.retryAttempt = 0;

@@ -69,7 +69,6 @@ struct Mshr
     // the agent can still serve crossing forwards (eviction race). ---
     BlockData wbData{};
     bool wbDirty = false;
-    bool ownershipLost = false;  //!< a forward consumed the data already
     MsgType wbType = MsgType::PutS;  //!< what to retransmit on timeout
 
     // --- Retry state (fault-tolerant mode only; see cache_agent.cc) ---
@@ -147,8 +146,25 @@ class MshrFile
     /** Waiter-slab node count (pool-sizing diagnostics and tests). */
     std::size_t waiterSlabSize() const { return waiterPool_.size(); }
 
+    /**
+     * Count a refused fetch as a full-MSHR stall once per episode.
+     * @p noted is the requester's episode flag: set here, and cleared
+     * by the requester once a fetch is accepted. Requesters call this
+     * on every refused retry; the legacy loop retries every cycle while
+     * fast-forward sleeps through them, and a surfaced statistic must
+     * not depend on the tick-loop mode.
+     */
+    void
+    noteFullStall(bool& noted)
+    {
+        if (!noted) {
+            noted = true;
+            ++statFullStalls;
+        }
+    }
+
     std::uint64_t statAllocations = 0;
-    /** Full-MSHR stall episodes (see CacheAgent/Core edge counting). */
+    /** Full-MSHR stall episodes (noteFullStall). */
     std::uint64_t statFullStalls = 0;
     std::uint64_t statWaiterDedups = 0;
 

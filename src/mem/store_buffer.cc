@@ -13,9 +13,6 @@ FifoStoreBuffer::push(Addr addr, std::uint64_t data, InstSeq seq)
     IF_DBG_ASSERT(hasSpace());
     IF_DBG_ASSERT(addr == wordAlign(addr));
     entries_.push_back(Entry{addr, data, kWordBytes, seq, false});
-    ++statPushes;
-    statPeakOccupancy = std::max<std::uint64_t>(statPeakOccupancy,
-                                                entries_.size());
 }
 
 std::optional<std::uint64_t>
@@ -44,12 +41,11 @@ FifoStoreBuffer::containsBlock(Addr addr) const
 CoalescingStoreBuffer::StoreResult
 CoalescingStoreBuffer::store(Addr addr, std::uint32_t size,
                              std::uint64_t value, bool speculative,
-                             std::uint32_t ctx, InstSeq seq)
+                             std::uint32_t ctx)
 {
     IF_HOT;
     IF_DBG_ASSERT(sameBlock(addr, size));
     const Addr blk = blockAlign(addr);
-    ++statStores;
     // Coalesce only when the labels match exactly: a speculative store
     // must never merge into a non-speculative entry (or vice versa), and
     // stores from different checkpoints stay separate so abort/commit of
@@ -58,7 +54,6 @@ CoalescingStoreBuffer::store(Addr addr, std::uint32_t size,
         if (e.blockAddr == blk && e.speculative == speculative &&
             e.ctx == ctx) {
             e.data.write(blockOffset(addr), size, value);
-            ++statMerges;
             return StoreResult::Merged;
         }
     }
@@ -69,10 +64,7 @@ CoalescingStoreBuffer::store(Addr addr, std::uint32_t size,
     e.data.write(blockOffset(addr), size, value);
     e.speculative = speculative;
     e.ctx = ctx;
-    e.firstSeq = seq;
     entries_.push_back(e);
-    statPeakOccupancy = std::max<std::uint64_t>(statPeakOccupancy,
-                                                entries_.size());
     return StoreResult::NewEntry;
 }
 
@@ -146,26 +138,6 @@ void
 CoalescingStoreBuffer::flashInvalidateSpeculative()
 {
     flashInvalidate([](const Entry& e) { return e.speculative; });
-}
-
-void
-CoalescingStoreBuffer::erase(const Entry& entry)
-{
-    IF_HOT;
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (&*it == &entry) {
-            entries_.erase(it);
-            return;
-        }
-    }
-    IF_DBG_ASSERT(false && "erase of entry not in store buffer");
-}
-
-bool
-CoalescingStoreBuffer::emptyOfSpeculative() const
-{
-    return std::none_of(entries_.begin(), entries_.end(),
-                        [](const Entry& e) { return e.speculative; });
 }
 
 bool

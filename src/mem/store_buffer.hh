@@ -84,10 +84,6 @@ class FifoStoreBuffer
     RingDeque<Entry>& entries() { return entries_; }
     const RingDeque<Entry>& entries() const { return entries_; }
 
-    /** Peak-occupancy statistic maintained by push(). */
-    std::uint64_t statPeakOccupancy = 0;
-    std::uint64_t statPushes = 0;
-
   private:
     std::uint32_t capacity_;
     /** Ring, not deque: steady push/pop churns no heap chunks. */
@@ -110,12 +106,8 @@ class CoalescingStoreBuffer
         std::uint32_t ctx = kNonSpecCtx;  //!< owning checkpoint context
         bool fillRequested = false;       //!< GetM issued for this block
         bool held = false;     //!< must wait for older checkpoint's commit
-        InstSeq firstSeq = 0;  //!< age of oldest merged store (for stats)
-        /** An MSHR-full rejection of this entry's write fetch was
-         *  already counted (cleared when a fetch is accepted): drain
-         *  loops count stall episodes, not per-cycle retries, so the
-         *  statistic is identical under legacy and fast-forward tick
-         *  loops. */
+        /** Full-MSHR episode flag of this entry's write fetch
+         *  (MshrFile::noteFullStall). */
         bool fullStallNoted = false;
 
         /** Dormant while the write fetch this entry issued is in
@@ -141,7 +133,7 @@ class CoalescingStoreBuffer
      * (speculative, ctx) labels; otherwise allocates.
      */
     StoreResult store(Addr addr, std::uint32_t size, std::uint64_t value,
-                      bool speculative, std::uint32_t ctx, InstSeq seq);
+                      bool speculative, std::uint32_t ctx);
 
     /**
      * Combined view of all buffered bytes for @p addr's block, oldest
@@ -162,24 +154,16 @@ class CoalescingStoreBuffer
     /** Flash-invalidate all speculative entries (abort of all contexts). */
     void flashInvalidateSpeculative();
 
-    /** Erase a specific entry after it drains into the L1. */
-    void erase(const Entry& entry);
-
     bool empty() const { return entries_.empty(); }
     bool full() const { return entries_.size() >= capacity_; }
     std::size_t size() const { return entries_.size(); }
     std::uint32_t capacity() const { return capacity_; }
 
-    /** True when no entry with the given speculative label exists. */
-    bool emptyOfSpeculative() const;
+    /** True when no entry carries context label @p ctx. */
     bool emptyOfCtx(std::uint32_t ctx) const;
 
     std::vector<Entry>& entries() { return entries_; }
     const std::vector<Entry>& entries() const { return entries_; }
-
-    std::uint64_t statPeakOccupancy = 0;
-    std::uint64_t statStores = 0;
-    std::uint64_t statMerges = 0;
 
   private:
     std::uint32_t capacity_;

@@ -37,12 +37,9 @@ VictimCache::extract(Addr addr)
 {
     IF_HOT;
     const std::ptrdiff_t at = indexOf(addr);
-    if (at < 0) {
-        ++statMisses;
+    if (at < 0)
         return false;
-    }
     eraseAt(static_cast<std::size_t>(at));
-    ++statHits;
     return true;
 }
 

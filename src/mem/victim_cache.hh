@@ -56,9 +56,6 @@ class VictimCache
     std::size_t size() const { return tags_.size(); }
     std::uint32_t capacity() const { return capacity_; }
 
-    std::uint64_t statHits = 0;
-    std::uint64_t statMisses = 0;
-
   private:
     /** Age position of @p addr's entry (oldest first), or -1. */
     std::ptrdiff_t indexOf(Addr addr) const;

@@ -6,10 +6,11 @@
  * whole-system simulations bit-for-bit reproducible across runs and seeds.
  *
  * The implementation is a timing wheel: a power-of-two ring of per-tick
- * buckets covering the near future (every latency in the simulated system —
- * network hops, memory, retries — is far below the wheel span), with a
- * sorted overflow map for anything scheduled further out. Scheduling and
- * popping are O(1) appends/moves instead of binary-heap sifts.
+ * buckets covering the near future (every clean-run latency at the default
+ * parameters — a network leg, a memory read, an overflow retry — is below
+ * the wheel span), with a sorted overflow map for anything scheduled
+ * further out. Scheduling and popping are O(1) appends/moves instead of
+ * binary-heap sifts.
  *
  * Events are *typed and pooled*: an Event is a fixed-size, trivially
  * copyable slot holding either a coherence-message delivery
@@ -375,10 +376,14 @@ class EventQueue
      *  most one tick's events at a time. */
     std::vector<Chain> wheel_;
     /** Chain for a far event at @p when, creating the map entry from
-     *  the recycled-node pool when possible. Under heavy contention
-     *  (large machines), link backlogs push deliveries past the wheel
-     *  span every cycle — far_ churn is steady-state there, so its map
-     *  nodes are pooled exactly like the event slab. */
+     *  the recycled-node pool when possible. The torus is latency-only
+     *  (no link backlogs), so at the default latencies no clean run
+     *  schedules this far out: the longest delay is one 16-hop leg of
+     *  a 256-core machine, 1,600 cycles. Far events are fault-mode
+     *  retry timers (3,000-cycle default timeout, doubled per attempt)
+     *  and deliveries once INVISIFENCE_HOP_LATENCY stretches a leg past
+     *  the span. Both recur every cycle in such runs, so the map nodes
+     *  are pooled exactly like the event slab. */
     Chain& farChain(Cycle when);
     /** Pool-miss slow path of farChain (cold, allocation frontier). */
     IF_COLD_FN Chain& coldFarChain(Cycle when);

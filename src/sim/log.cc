@@ -64,17 +64,6 @@ fatalImpl(const char* file, int line, const char* fmt, ...)
 }
 
 void
-warnImpl(const char* fmt, ...)
-{
-    char buf[1024];
-    va_list ap;
-    va_start(ap, fmt);
-    vformatBuf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "warn: %s\n", buf);
-}
-
-void
 logImpl(const char* fmt, ...)
 {
     char buf[1024];

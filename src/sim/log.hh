@@ -7,7 +7,7 @@
  * Debug tracing compiles to nothing unless INVISIFENCE_TRACE is defined.
  *
  * The impl functions are variadic and format into a fixed stack buffer
- * (messages truncate past ~1 KiB): hot-path code calls IF_LOG/IF_WARN
+ * (messages truncate past ~1 KiB): hot-path code calls IF_LOG
  * on rare-but-returning paths and IF_PANIC/IF_FATAL on noreturn ones,
  * and iflint pass 2 statically proves the steady-state call graph
  * allocation-free — a std::string-returning formatter on the argument
@@ -29,7 +29,6 @@ namespace invisifence {
     __attribute__((format(printf, 3, 4)));
 [[noreturn]] void fatalImpl(const char* file, int line, const char* fmt, ...)
     __attribute__((format(printf, 3, 4)));
-void warnImpl(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void logImpl(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Printf-style formatting into a std::string (allocates; cold paths
@@ -43,7 +42,6 @@ std::string strformat(const char* fmt, ...)
     ::invisifence::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define IF_FATAL(...) \
     ::invisifence::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define IF_WARN(...) ::invisifence::warnImpl(__VA_ARGS__)
 #define IF_LOG(...) ::invisifence::logImpl(__VA_ARGS__)
 
 #ifdef INVISIFENCE_TRACE

@@ -317,6 +317,96 @@ TEST(Protocol, ExternalBlockingDefersAndReplays)
     EXPECT_EQ(rig.agents[1]->readWordL1(0xa000), 9u);
 }
 
+// ------------------------------------------- clean-mode eviction race
+
+namespace {
+
+/**
+ * Clean-mode (no fault tolerance) eviction race. Node 0 owns a dirty
+ * block and evicts it from its L2, so its only copy sits in a writeback
+ * MSHR while its PutM is in flight. Node 1 asks for the block in that
+ * window. The block's home is node 1, so node 1's request reaches it in
+ * one cycle while node 0's Put still needs a network hop: the home
+ * forwards to node 0 before the Put arrives, and the Put queues behind
+ * that transaction.
+ */
+class EvictionRace : public ::testing::TestWithParam<bool>
+{
+};
+
+} // namespace
+
+TEST_P(EvictionRace, ForwardServedFromWritebackMshrThenPutAckedStale)
+{
+    const bool fwd_getm = GetParam();   // false: FwdGetS, true: FwdGetM
+    Rig rig(2);
+    constexpr Addr kBlock = 0x1040;     // block 0x41: home is node 1
+    ASSERT_EQ(homeOf(kBlock, 2), 1u);
+    constexpr std::uint64_t kValue = 0xfeed;
+    CacheAgent& owner = *rig.agents[0];
+    CacheAgent& requester = *rig.agents[1];
+    DirectorySlice& home = *rig.dirs[1];
+
+    rig.fetch(0, kBlock, true);
+    owner.writeWordL1(kBlock, kValue, false, 0);
+    ASSERT_NE(rig.mem.readWord(kBlock), kValue);   // only node 0 has it
+
+    // Fetch blocks of the same L2 set until the owner's L2 evicts
+    // kBlock; stop the clock the cycle its writeback MSHR appears.
+    const Addr stride = Addr{owner.l2().numSets()} * kBlockBytes;
+    bool evicted = false;
+    for (std::uint32_t k = 1; k <= 2 * owner.params().l2Ways && !evicted;
+         ++k) {
+        bool filled = false;
+        ASSERT_TRUE(owner.request(kBlock + k * stride, false,
+                                  flagWaiter(&filled)));
+        for (Cycle t = 0; t < 10000 && !filled && !evicted; ++t) {
+            rig.eq.advanceTo(rig.eq.now() + 1);
+            evicted = owner.mshrs().lookup(kBlock, Mshr::Kind::Writeback);
+        }
+    }
+    ASSERT_TRUE(evicted);
+    ASSERT_FALSE(owner.l2().lookup(kBlock));
+    ASSERT_FALSE(owner.l1Readable(kBlock));
+    const std::uint64_t stale_before = home.statStaleWritebacks;
+    const std::uint64_t served_before = owner.statExternalServed;
+
+    bool done = false;
+    ASSERT_TRUE(requester.request(kBlock, fwd_getm, flagWaiter(&done)));
+    for (Cycle t = 0; t < 10000 && !done; ++t)
+        rig.eq.advanceTo(rig.eq.now() + 1);
+    ASSERT_TRUE(done);
+    // The forward was served while the Put was still unanswered.
+    EXPECT_EQ(owner.statExternalServed, served_before + 1);
+    EXPECT_TRUE(owner.mshrs().lookup(kBlock, Mshr::Kind::Writeback));
+
+    rig.settle();
+    // The retained data reached the home (memory) and the requester.
+    EXPECT_EQ(rig.mem.readWord(kBlock), kValue);
+    EXPECT_EQ(requester.readWordL1(kBlock), kValue);
+    EXPECT_EQ(requester.l1Writable(kBlock), fwd_getm);
+    // The crossing Put was acked stale, which freed the writeback MSHR.
+    EXPECT_EQ(home.statStaleWritebacks, stale_before + 1);
+    EXPECT_FALSE(owner.mshrs().lookup(kBlock, Mshr::Kind::Writeback));
+    const auto view = home.inspect(kBlock);
+    if (fwd_getm) {
+        EXPECT_EQ(view.state, DirectorySlice::DirState::Owned);
+        EXPECT_EQ(view.owner, 1u);
+    } else {
+        EXPECT_EQ(view.state, DirectorySlice::DirState::Shared);
+    }
+    // No MSHR leaks anywhere, and both homes are idle.
+    for (NodeId n = 0; n < 2; ++n) {
+        EXPECT_EQ(rig.agents[n]->mshrs().inUse(), 0u) << "agent " << n;
+        EXPECT_TRUE(rig.dirs[n]->quiescent()) << "home " << n;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(FwdKinds, EvictionRace, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                             return p.param ? "FwdGetM" : "FwdGetS";
+                         });
+
 // --------------------------------------------------- random property test
 
 namespace {
